@@ -315,8 +315,11 @@ func (b *Blaster) AssertFalse(t *Term) {
 // applications of the same uninterpreted function recorded by the builder:
 // equal arguments force equal results. This is how 64-bit multiplication
 // and division stay uninterpreted yet functionally consistent (§5.2).
+// Functions are visited in first-application order, so the clause order —
+// and with it the solver's search and model — is the same on every run.
 func (b *Blaster) AssertFunConsistency(builder *Builder) {
-	for _, apps := range builder.Apps {
+	for _, name := range builder.appNames {
+		apps := builder.Apps[name]
 		for i := 0; i < len(apps); i++ {
 			for j := i + 1; j < len(apps); j++ {
 				f, g := apps[i], apps[j]

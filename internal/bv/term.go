@@ -118,6 +118,9 @@ type Builder struct {
 	// Apps records every uninterpreted application, per function name, for
 	// Ackermann expansion.
 	Apps map[string][]*Term
+	// appNames lists the keys of Apps in first-application order, so
+	// consumers of Apps can walk it deterministically.
+	appNames []string
 }
 
 // NewBuilder returns an empty builder.
@@ -146,6 +149,9 @@ func (b *Builder) intern(t *Term) *Term {
 	b.next++
 	b.terms[k] = t
 	if t.Op == OpApp {
+		if _, seen := b.Apps[t.Name]; !seen {
+			b.appNames = append(b.appNames, t.Name)
+		}
 		b.Apps[t.Name] = append(b.Apps[t.Name], t)
 	}
 	return t
@@ -264,26 +270,57 @@ func (b *Builder) Xor(x, y *Term) *Term {
 	return b.binary(OpXor, x, y, func(a, c uint64) uint64 { return a ^ c })
 }
 
-// Add is modular addition.
+// Add is modular addition. Adding a constant keeps terms in base+offset
+// normal form: (x + c1) + c2 becomes x + (c1+c2 mod 2^w), with the constant
+// on the right, so addresses off one base register hash-cons to one base
+// term and Eq can decide them without bit-blasting (§5.2's rsp-relative
+// stack addresses).
 func (b *Builder) Add(x, y *Term) *Term {
-	if v, ok := x.IsConst(); ok && v == 0 {
-		return y
+	if v, ok := y.IsConst(); ok {
+		return b.addConst(x, v)
 	}
-	if v, ok := y.IsConst(); ok && v == 0 {
-		return x
+	if v, ok := x.IsConst(); ok {
+		return b.addConst(y, v)
 	}
 	return b.binary(OpAdd, x, y, func(a, c uint64) uint64 { return a + c })
 }
 
-// Sub is modular subtraction.
+// Sub is modular subtraction. Subtracting a constant adds its negation;
+// two terms over the same base differ by the constant c1-c2.
 func (b *Builder) Sub(x, y *Term) *Term {
-	if v, ok := y.IsConst(); ok && v == 0 {
-		return x
+	if v, ok := y.IsConst(); ok {
+		return b.addConst(x, -v)
 	}
-	if x == y {
-		return b.Const(x.Width, 0)
+	xb, xo := baseOffset(x)
+	yb, yo := baseOffset(y)
+	if xb == yb {
+		return b.Const(x.Width, xo-yo)
 	}
 	return b.binary(OpSub, x, y, func(a, c uint64) uint64 { return a - c })
+}
+
+// baseOffset splits t into base + c: the arguments of an add-constant
+// term, else t itself with offset 0.
+func baseOffset(t *Term) (*Term, uint64) {
+	if t.Op == OpAdd {
+		if c, ok := t.Args[1].IsConst(); ok {
+			return t.Args[0], c
+		}
+	}
+	return t, 0
+}
+
+// addConst builds x + c in base+offset normal form.
+func (b *Builder) addConst(x *Term, c uint64) *Term {
+	if v, ok := x.IsConst(); ok {
+		return b.Const(x.Width, v+c)
+	}
+	base, off := baseOffset(x)
+	off = (off + c) & mask(x.Width)
+	if off == 0 {
+		return base
+	}
+	return b.intern(&Term{Op: OpAdd, Width: x.Width, Args: []*Term{base, b.Const(x.Width, off)}})
 }
 
 // Mul is modular multiplication (bit-blasted shift-add; the verifier uses
@@ -425,8 +462,15 @@ func (b *Builder) Eq(x, y *Term) *Term {
 	if x.Width != y.Width {
 		panic("bv: eq width mismatch")
 	}
-	if x == y {
-		return b.True()
+	// Terms over the same base are equal exactly when their offsets are;
+	// this decides x == x and the stack-slot comparisons of the write log.
+	xb, xo := baseOffset(x)
+	yb, yo := baseOffset(y)
+	if xb == yb {
+		if xo == yo {
+			return b.True()
+		}
+		return b.False()
 	}
 	xv, xc := x.IsConst()
 	yv, yc := y.IsConst()

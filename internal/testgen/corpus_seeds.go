@@ -387,5 +387,56 @@ func SeedCorpus() []Seed {
 			fzEdit(1, fzSlot(FzJcc, 0, 1)), // and re-create it
 		),
 	)
+
+	// Memory-addressing seeds for the symbolic validator's base+offset
+	// address normal form: same-base accesses of different widths must
+	// resolve byte by byte, distinct base registers must stay symbolic
+	// even when they alias, and int8 displacements must sign-extend and
+	// wrap modulo 2^64 exactly as the emulator computes them.
+	overlap := defaultFzSnap()
+	overlap.gprIdx[1] = fvInt32Max // RCX: bytes ff ff ff 7f 00 ..
+	overlap.rdi = 32
+	alias := defaultFzSnap()
+	alias.gprIdx[1] = fvInt32Max
+	alias.rdi, alias.rsi = 40, 32 // rdi == rsi+8
+	wrap := defaultFzSnap()
+	wrap.gprIdx[1] = fvInt32Max
+	wrap.rdi, wrap.rsi = 8, 0
+	seeds = append(seeds,
+		// A qword store and a dword load two bytes into it, both off rdi;
+		// edits narrow the load and then stretch it past the store into
+		// initial memory.
+		seed("mem-same-base-overlap-width", overlap,
+			[][]byte{
+				fzSlot(FzMovScalar, 3, 3, 2, 0xf8), // movq rcx, -8(rdi)
+				fzSlot(FzMovScalar, 2, 2, 0, 0xfa), // movl -6(rdi), eax
+			},
+			fzEdit(1, fzSlot(FzMovScalar, 2, 1, 0, 0xf9)), // movw -7(rdi), ax
+			fzEdit(1, fzSlot(FzMovScalar, 2, 3, 0, 0xfc)), // movq -4(rdi), rax
+		),
+		// rdi == rsi+8: the load 8(rsi) reads exactly what (rdi) stored,
+		// through two different base registers; edits reorder the pair and
+		// shift the store half a qword off the load.
+		seed("mem-rdi-rsi-alias-disp", alias,
+			[][]byte{
+				fzSlot(FzMovScalar, 3, 3, 2, 0), // movq rcx, (rdi)
+				fzSlot(FzMovScalar, 2, 3, 1, 8), // movq 8(rsi), rax
+			},
+			fzSwap(0, 1),
+			fzSwap(0, 1),
+			fzEdit(0, fzSlot(FzMovScalar, 3, 3, 2, 4)), // movq rcx, 4(rdi)
+		),
+		// Displacement bytes at the int8 boundaries: 0xff is -1, so the
+		// qword store's second byte wraps to offset 0 of rdi; 0x7f is +127,
+		// the last byte of the segment off rsi.
+		seed("mem-int8-disp-wrap", wrap,
+			[][]byte{
+				fzSlot(FzMovScalar, 3, 3, 2, 0xff), // movq rcx, -1(rdi)
+				fzSlot(FzMovScalar, 2, 2, 0, 0),    // movl (rdi), eax
+				fzSlot(FzMovScalar, 2, 0, 5, 0x7f), // movb 127(rsi), dl
+			},
+			fzEdit(1, fzSlot(FzMovScalar, 2, 2, 0, 0xff)), // movl -1(rdi), eax
+		),
+	)
 	return seeds
 }

@@ -8,6 +8,7 @@ package testgen
 import (
 	"testing"
 
+	"repro/internal/emu"
 	"repro/internal/x64"
 )
 
@@ -293,5 +294,72 @@ func TestDecodeFuzzCaseTotal(t *testing.T) {
 		if len(fc.Edits) > 128 {
 			t.Fatalf("edit script unbounded: %d", len(fc.Edits))
 		}
+	}
+}
+
+// TestSeedCorpusCoversMemoryAddressing: the memory-addressing seeds must
+// decode to the address shapes they are named for, run fault-free, and
+// end in a candidate whose rax differs from the target's, so the verifier
+// fuzz target reaches its symbolic query on them.
+func TestSeedCorpusCoversMemoryAddressing(t *testing.T) {
+	type access struct {
+		slot  int
+		store bool
+		base  x64.Reg
+		disp  int32
+		width uint8
+	}
+	cases := []struct {
+		seed     string
+		accesses []access
+	}{
+		{"mem-same-base-overlap-width", []access{
+			{0, true, x64.RDI, -8, 8}, {1, false, x64.RDI, -6, 4}}},
+		{"mem-rdi-rsi-alias-disp", []access{
+			{0, true, x64.RDI, 0, 8}, {1, false, x64.RSI, 8, 8}}},
+		{"mem-int8-disp-wrap", []access{
+			{0, true, x64.RDI, -1, 8}, {1, false, x64.RDI, 0, 4}, {2, false, x64.RSI, 127, 1}}},
+	}
+	for _, c := range cases {
+		fc := seedByName(t, c.seed)
+		for _, a := range c.accesses {
+			in := fc.Prog.Insts[a.slot]
+			mem := in.Opd[0]
+			if a.store {
+				mem = in.Opd[1]
+			}
+			if in.Op != x64.MOV || mem.Kind != x64.KindMem || mem.Base != a.base ||
+				mem.Disp != a.disp || mem.Width != a.width {
+				t.Fatalf("%s slot %d = %v, want a %d-byte access at %d(%s)",
+					c.seed, a.slot, in, a.width, a.disp, x64.GPRName(a.base, 8))
+			}
+		}
+
+		cand := fc.Prog.Clone()
+		for _, e := range fc.Edits {
+			if e.Swap {
+				cand.Insts[e.Slot], cand.Insts[e.Other] = cand.Insts[e.Other], cand.Insts[e.Slot]
+			} else {
+				cand.Insts[e.Slot] = e.With
+			}
+		}
+		m := emu.New()
+		var rax [2]uint64
+		for i, p := range []*x64.Program{fc.Prog, cand} {
+			m.LoadSnapshot(fc.Snap)
+			if o := m.Run(p); o.SigSegv != 0 {
+				t.Fatalf("%s faults:\n%s", c.seed, p)
+			}
+			rax[i] = m.Regs[x64.RAX]
+		}
+		if rax[0] == rax[1] {
+			t.Fatalf("%s: patched candidate agrees with the target on rax (%#x)", c.seed, rax[0])
+		}
+	}
+
+	fc := seedByName(t, "mem-rdi-rsi-alias-disp")
+	if fc.Snap.Regs[x64.RDI] != fc.Snap.Regs[x64.RSI]+8 {
+		t.Fatalf("alias seed: rdi=%#x rsi=%#x, want rdi == rsi+8",
+			fc.Snap.Regs[x64.RDI], fc.Snap.Regs[x64.RSI])
 	}
 }

@@ -10,6 +10,13 @@
 // to rsp-relative terms, and initial memory is a byte-level uninterpreted
 // function of the address — which yields exactly the paper's aliasing
 // constraint addr1 = addr2 ⇒ val1 = val2.
+//
+// Addresses stay in the bit-vector builder's base+offset normal form, so
+// two accesses off the same base register (rsp-relative spill slots, an
+// rbp frame) compare equal or unequal while the formula is built: every
+// -O0 reload resolves to the stored byte before bit-blasting, and only
+// accesses over different base registers (rdi vs rsi) reach the SAT
+// solver as address comparisons.
 package verify
 
 import (
@@ -58,9 +65,11 @@ type Config struct {
 	Budget int64
 
 	// MaxTerms bounds the size of the bit-vector formula before
-	// bit-blasting; memory-heavy kernels whose write-log resolution blows
-	// past it yield Unknown instead of minutes of encoding time. Zero
-	// takes the default.
+	// bit-blasting. Stack traffic resolves while the formula is built, so
+	// the cap bites on kernels whose many loads and stores go through
+	// different base registers (each load then muxes over every earlier
+	// store); those yield Unknown instead of minutes of encoding time.
+	// Zero takes the default.
 	MaxTerms int
 }
 
