@@ -19,6 +19,7 @@ import (
 	"repro/internal/mcmc"
 	"repro/internal/perf"
 	"repro/internal/pipeline"
+	"repro/internal/store"
 	"repro/internal/testgen"
 	"repro/internal/verify"
 	"repro/internal/x64"
@@ -369,6 +370,63 @@ func BenchmarkPatchLiveness(b *testing.B) {
 			p.Insts[last] = withCarry
 		}
 		c.Patch(last)
+	}
+}
+
+// BenchmarkGenerate measures testcase generation for p01 at the default
+// 32 testcases: sampling each input, running the target under
+// instrumentation, and deriving the sandbox and live outputs. A served
+// store hit generates a fresh set before it revalidates, so this is the
+// bulk of a hit's cost.
+func BenchmarkGenerate(b *testing.B) {
+	bench, err := kernels.ByName("p01")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := testgen.Generate(bench.Target, bench.Spec, 32, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCacheHit measures one served store hit in process: a
+// cache-only Optimize of p01 against a store that one optimization-only
+// search has filled (fingerprinting, lookup, testcase generation and
+// revalidation, no search).
+func BenchmarkCacheHit(b *testing.B) {
+	bench, err := kernels.ByName("p01")
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := store.Open("", store.DefaultCap)
+	if err != nil {
+		b.Fatal(err)
+	}
+	engine := stoke.NewEngine(stoke.EngineConfig{})
+	defer engine.Close()
+	opts := []stoke.Option{
+		stoke.WithRewriteStore(s),
+		stoke.WithSeed(1),
+		stoke.WithChains(0, 2),
+		stoke.WithBudgets(1, 40000),
+		stoke.WithEll(16),
+	}
+	if _, err := engine.Optimize(context.Background(), bench.Kernel, opts...); err != nil {
+		b.Fatal(err)
+	}
+	opts = append(opts, stoke.WithCacheOnly())
+	b.ReportAllocs()
+	for b.Loop() {
+		rep, err := engine.Optimize(context.Background(), bench.Kernel, opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rep.CacheHit {
+			b.Fatal("cache-only resubmission was not a hit")
+		}
 	}
 }
 

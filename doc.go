@@ -60,8 +60,10 @@
 // the candidates the compiled chain visits).
 //
 // On top of the per-testcase compiled loop sits batched lockstep
-// evaluation (emu.Batch, cost.Fn.EvalCompiledBatched; the default —
-// stoke.WithBatchedEval opts out). Instead of re-dispatching the whole
+// evaluation (emu.Batch, cost.Fn.EvalCompiledBatched; off by default —
+// stoke.WithBatchedEval(true) opts in, since a chunk runs to its end past
+// a mid-chunk rejection and the search runs slower end to end with it).
+// Instead of re-dispatching the whole
 // program once per testcase, each compiled slot executes across every
 // live testcase lane before the batch advances, so dispatch, operand
 // decode and the flag-variant selection are paid once per slot per chunk

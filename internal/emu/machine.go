@@ -39,6 +39,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"repro/internal/x64"
 )
@@ -117,16 +118,32 @@ type packedMem struct {
 func bitWords(n int) int { return n/64 + 2 }
 
 // packBools fills a bitset from a []bool (snapshot images keep the
-// friendly representation; the machine runs on bits).
+// friendly representation; the machine runs on bits). Every fresh snapshot
+// load packs two planes per segment, so it packs eight bools per step: a
+// Go bool is one byte holding 0 or 1, so eight of them read as a word with
+// one bit per byte, and pack8 moves those bits into one byte.
 func packBools(dst []uint64, src []bool) {
-	for i := range dst {
-		dst[i] = 0
+	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(src))), len(src))
+	full := len(b) / 64
+	for w := 0; w < full; w++ {
+		c := b[w*64 : w*64+64]
+		dst[w] = pack8(c[0:]) | pack8(c[8:])<<8 | pack8(c[16:])<<16 | pack8(c[24:])<<24 |
+			pack8(c[32:])<<32 | pack8(c[40:])<<40 | pack8(c[48:])<<48 | pack8(c[56:])<<56
 	}
-	for i, ok := range src {
-		if ok {
-			dst[i/64] |= 1 << (i % 64)
+	for w := full; w < len(dst); w++ {
+		var v uint64
+		for i := w * 64; i < min(w*64+64, len(b)); i++ {
+			v |= uint64(b[i]) << (i - w*64)
 		}
+		dst[w] = v
 	}
+}
+
+// pack8 gathers bit 0 of each of the eight bytes at b[0:8] into one byte:
+// multiplying by 0x0102040810204080 moves byte j's bit to bit 56+j, and
+// no two partial products land on the same bit, so nothing carries.
+func pack8(b []byte) uint64 {
+	return binary.LittleEndian.Uint64(b) * 0x0102040810204080 >> 56
 }
 
 // allSet reports whether bits [off, off+n) are all one (n <= 48).
@@ -180,7 +197,7 @@ type Machine struct {
 	// sequence of the paper's length plus slack.
 	MaxSteps int
 
-	// trace, when non-nil, records every byte address the program
+	// trace, when non-nil, records every segment byte the program
 	// dereferences. It stands in for the PinTool instrumentation of §5.1:
 	// the addresses the target touches define the sandbox for rewrites.
 	trace *Trace
@@ -224,19 +241,38 @@ type Machine struct {
 	generic int
 }
 
-// Trace records the byte addresses dereferenced during instrumented runs.
+// Trace records the bytes an instrumented run dereferenced, as one read and
+// one write bitset per memory segment: bit i of Reads[s] is set when the
+// run loaded byte Base+i of the loaded snapshot's segment s. The machine
+// sizes and clears both when it loads a snapshot with the trace installed
+// (and when the trace is installed), so the record covers the run since
+// the last load. An access that fits in no segment faults and is not
+// recorded: every address that can enter a testcase lies in a segment.
 type Trace struct {
-	Reads  map[uint64]struct{}
-	Writes map[uint64]struct{}
+	Reads  [][]uint64
+	Writes [][]uint64
 }
 
 // NewTrace returns an empty trace.
-func NewTrace() *Trace {
-	return &Trace{Reads: map[uint64]struct{}{}, Writes: map[uint64]struct{}{}}
+func NewTrace() *Trace { return &Trace{} }
+
+// reset gives the trace one cleared bitset pair per segment.
+func (t *Trace) reset(segs []segment) {
+	t.Reads = make([][]uint64, len(segs))
+	t.Writes = make([][]uint64, len(segs))
+	for i := range segs {
+		t.Reads[i] = make([]uint64, bitWords(len(segs[i].data)))
+		t.Writes[i] = make([]uint64, bitWords(len(segs[i].data)))
+	}
 }
 
 // SetTrace installs (or, with nil, removes) instrumentation on the machine.
-func (m *Machine) SetTrace(t *Trace) { m.trace = t }
+func (m *Machine) SetTrace(t *Trace) {
+	m.trace = t
+	if t != nil {
+		t.reset(m.segs)
+	}
+}
 
 // New returns a machine with an empty address space.
 func New() *Machine {
@@ -291,6 +327,9 @@ func (m *Machine) LoadSnapshot(s *Snapshot) {
 	m.memDirty = false
 	m.regsWritten = 0
 	m.xmmWritten = 0
+	if m.trace != nil {
+		m.trace.reset(m.segs)
+	}
 }
 
 // LoadSnapshotCached is LoadSnapshot for a machine pinned to one testcase:
@@ -334,12 +373,16 @@ func (m *Machine) LoadSnapshotCached(s *Snapshot) {
 	m.Flags = s.Flags
 	m.FlagsDef = s.FlagsDef
 	m.sigsegv, m.sigfpe, m.undef = 0, 0, 0
+	if m.trace != nil {
+		m.trace.reset(m.segs)
+	}
 }
 
 // findSeg returns the segment containing [addr, addr+n), or nil. The last
 // hit is cached: -O0 code streams stack accesses, so consecutive
 // dereferences overwhelmingly land in one segment (the cache changes
-// nothing observable, only the scan).
+// nothing observable, only the scan). After a hit, m.segCache is the
+// returned segment's index.
 func (m *Machine) findSeg(addr uint64, n int) *segment {
 	if m.segCache < len(m.segs) {
 		sg := &m.segs[m.segCache]
@@ -361,11 +404,6 @@ func (m *Machine) findSeg(addr uint64, n int) *segment {
 // outside the sandbox makes the whole access fault (counted once) and the
 // access reads as zero; undefined bytes count one undef read.
 func (m *Machine) loadBytes(addr uint64, n int, out []byte) {
-	if m.trace != nil {
-		for i := 0; i < n; i++ {
-			m.trace.Reads[addr+uint64(i)] = struct{}{}
-		}
-	}
 	sg := m.findSeg(addr, n)
 	if sg == nil {
 		m.sigsegv++
@@ -375,6 +413,9 @@ func (m *Machine) loadBytes(addr uint64, n int, out []byte) {
 		return
 	}
 	off := addr - sg.base
+	if m.trace != nil {
+		setBits(m.trace.Reads[m.segCache], off, n)
+	}
 	if !allSet(sg.valid, off, n) {
 		m.sigsegv++
 		for i := 0; i < n; i++ {
@@ -391,17 +432,15 @@ func (m *Machine) loadBytes(addr uint64, n int, out []byte) {
 // storeBytes writes n bytes at addr; stores outside the sandbox are dropped
 // after counting a fault.
 func (m *Machine) storeBytes(addr uint64, n int, in []byte) {
-	if m.trace != nil {
-		for i := 0; i < n; i++ {
-			m.trace.Writes[addr+uint64(i)] = struct{}{}
-		}
-	}
 	sg := m.findSeg(addr, n)
 	if sg == nil {
 		m.sigsegv++
 		return
 	}
 	off := addr - sg.base
+	if m.trace != nil {
+		setBits(m.trace.Writes[m.segCache], off, n)
+	}
 	if !allSet(sg.valid, off, n) {
 		m.sigsegv++
 		return

@@ -785,8 +785,8 @@ func (s *Sampler) moveOperand(p *x64.Program) (rec moveRec, ok bool) {
 		// may become a same-width memory operand when the opcode has such
 		// a signature (validated below), and vice versa.
 		if s.Rng.Intn(4) == 0 {
-			if m := s.randomMem(o.Width); m != nil {
-				o = *m
+			if m, found := s.randomMem(o.Width); found {
+				o = m
 				break
 			}
 		}
@@ -800,12 +800,12 @@ func (s *Sampler) moveOperand(p *x64.Program) (rec moveRec, ok bool) {
 			o = x64.R(s.randomReg(), o.Width)
 			break
 		}
-		m := s.randomMem(o.Width)
-		if m == nil {
+		m, found := s.randomMem(o.Width)
+		if !found {
 			o = x64.R(s.randomReg(), o.Width)
 			break
 		}
-		o = *m
+		o = m
 	default:
 		return rec, false
 	}
@@ -929,19 +929,29 @@ func (s *Sampler) randomCond() x64.Cond {
 	return x64.Cond(1 + s.Rng.Intn(int(x64.NumConds)-1))
 }
 
-func (s *Sampler) randomMem(width uint8) *x64.Operand {
-	// Prefer target-shaped memory operands of the right width.
-	var match []x64.Operand
+// randomMem draws a target-shaped memory operand of the given width,
+// uniformly among the pool's width matches. It counts the matches, draws
+// one index, and scans for it, so a proposal allocates nothing.
+func (s *Sampler) randomMem(width uint8) (x64.Operand, bool) {
+	n := 0
 	for _, m := range s.Pools.Mems {
 		if m.Width == width {
-			match = append(match, m)
+			n++
 		}
 	}
-	if len(match) == 0 {
-		return nil
+	if n == 0 {
+		return x64.Operand{}, false
 	}
-	o := match[s.Rng.Intn(len(match))]
-	return &o
+	k := s.Rng.Intn(n)
+	for _, m := range s.Pools.Mems {
+		if m.Width == width {
+			if k == 0 {
+				return m, true
+			}
+			k--
+		}
+	}
+	panic("unreachable")
 }
 
 func (s *Sampler) randomOperand(tok x64.SigTok) (x64.Operand, bool) {
@@ -953,11 +963,7 @@ func (s *Sampler) randomOperand(tok x64.SigTok) (x64.Operand, bool) {
 	case x64.TokI:
 		return x64.Imm(s.Pools.Imms[s.Rng.Intn(len(s.Pools.Imms))], 8), true
 	case x64.TokM8, x64.TokM16, x64.TokM32, x64.TokM64, x64.TokM128:
-		m := s.randomMem(x64.TokWidth(tok))
-		if m == nil {
-			return x64.Operand{}, false
-		}
-		return *m, true
+		return s.randomMem(x64.TokWidth(tok))
 	}
 	return x64.Operand{}, false
 }

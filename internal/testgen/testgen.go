@@ -10,6 +10,7 @@ package testgen
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/emu"
@@ -137,23 +138,10 @@ func FromInput(m *emu.Machine, target *x64.Program, spec Spec, in *emu.Snapshot)
 		return Testcase{}, fmt.Errorf("testgen: target faulted on generated input: %+v", out)
 	}
 
-	tc := Testcase{In: in.Clone()}
-
 	// The sandbox for rewrites is exactly the set of addresses the target
-	// dereferenced (§5.1).
-	derefed := func(addr uint64) bool {
-		if _, ok := trace.Reads[addr]; ok {
-			return true
-		}
-		_, ok := trace.Writes[addr]
-		return ok
-	}
-	for si := range tc.In.Mem {
-		im := &tc.In.Mem[si]
-		for i := range im.Valid {
-			im.Valid[i] = derefed(im.Base + uint64(i))
-		}
-	}
+	// dereferenced (§5.1). The run did not fault, so every dereference
+	// fell inside one segment and the trace's bitsets hold all of them.
+	tc := Testcase{In: cloneWithValid(in, trace)}
 
 	// Record live outputs from the target's final state.
 	for _, lr := range spec.LiveOut.GPRs {
@@ -165,25 +153,41 @@ func FromInput(m *emu.Machine, target *x64.Program, spec Spec, in *emu.Snapshot)
 	tc.WantFlags = m.Flags & spec.LiveOut.Flags
 
 	// Every byte the target wrote inside a live segment is a live memory
-	// output. Iterate segments in order for determinism.
+	// output, listed by segment, then by address, for determinism.
 	for si := range tc.In.Mem {
 		if !spec.LiveOut.segLive(si) {
 			continue
 		}
-		im := &tc.In.Mem[si]
-		for i := range im.Data {
-			addr := im.Base + uint64(i)
-			if _, ok := trace.Writes[addr]; !ok {
-				continue
+		base := tc.In.Mem[si].Base
+		for wi, w := range trace.Writes[si] {
+			for ; w != 0; w &= w - 1 {
+				addr := base + uint64(wi*64+bits.TrailingZeros64(w))
+				b, _, ok := m.MemByte(addr)
+				if !ok {
+					return Testcase{}, fmt.Errorf("testgen: written byte %#x vanished", addr)
+				}
+				tc.WantMem = append(tc.WantMem, MemCheck{Addr: addr, Want: b})
 			}
-			b, _, ok := m.MemByte(addr)
-			if !ok {
-				return Testcase{}, fmt.Errorf("testgen: written byte %#x vanished", addr)
-			}
-			tc.WantMem = append(tc.WantMem, MemCheck{Addr: addr, Want: b})
 		}
 	}
 	return tc, nil
+}
+
+// cloneWithValid deep-copies in with each segment's Valid plane narrowed
+// to the bytes the trace saw read or written.
+func cloneWithValid(in *emu.Snapshot, trace *emu.Trace) *emu.Snapshot {
+	out := in.Clone()
+	for si := range out.Mem {
+		valid := out.Mem[si].Valid
+		clear(valid)
+		reads, writes := trace.Reads[si], trace.Writes[si]
+		for wi := range reads {
+			for w := reads[wi] | writes[wi]; w != 0; w &= w - 1 {
+				valid[wi*64+bits.TrailingZeros64(w)] = true
+			}
+		}
+	}
+	return out
 }
 
 // Arena is a helper for building input snapshots: a bump allocator over a
@@ -227,13 +231,13 @@ func (a *Arena) Alloc(size int, fill func(i int) byte) uint64 {
 		Def:   make([]bool, size),
 		Valid: make([]bool, size),
 	}
-	for i := 0; i < size; i++ {
-		if fill != nil {
+	if fill != nil {
+		for i := range im.Data {
 			im.Data[i] = fill(i)
 		}
-		im.Def[i] = true
-		im.Valid[i] = true
 	}
+	setAll(im.Def)
+	setAll(im.Valid)
 	a.s.Mem = append(a.s.Mem, im)
 	return base
 }
@@ -250,9 +254,7 @@ func (a *Arena) AllocStack(size int) uint64 {
 		Def:   make([]bool, size),
 		Valid: make([]bool, size),
 	}
-	for i := 0; i < size; i++ {
-		im.Valid[i] = true
-	}
+	setAll(im.Valid)
 	a.s.Mem = append(a.s.Mem, im)
 	sp := base + uint64(size/2)
 	a.SetReg(x64.RSP, sp)
@@ -261,3 +263,15 @@ func (a *Arena) AllocStack(size int) uint64 {
 
 // Snapshot returns the built snapshot.
 func (a *Arena) Snapshot() *emu.Snapshot { return a.s }
+
+// setAll sets every element of b by doubling copies: a memmove per power
+// of two instead of a store per byte (every input's stack is 1 KiB).
+func setAll(b []bool) {
+	if len(b) == 0 {
+		return
+	}
+	b[0] = true
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
+	}
+}

@@ -99,7 +99,8 @@ func (e *Engine) cacheProbe(k Kernel, st *settings, form *canon.Form,
 
 	// revalidate checks a mapped-back candidate against the generated
 	// testcases plus the entry's replayed counterexample set, in strict
-	// mode through the compiled evaluator.
+	// mode through the reference interpreter (cost.Fn.Eval). One
+	// candidate is scored once, so compiling it first buys nothing.
 	revalidate := func(cand *x64.Program, cexs []store.Cex) bool {
 		if cand.Validate() != nil {
 			return false

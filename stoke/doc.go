@@ -59,15 +59,16 @@
 // the register stores of writes nothing downstream — no condition
 // consumer, no reader before a kill, no live-out exit — can observe,
 // while preserving every read, fault and undefined-value count the cost
-// function sees. By default the tail of each full evaluation runs
-// batched: every compiled slot executes across all live testcase lanes in
-// lockstep before advancing (dispatch and operand decode paid once per
-// slot per chunk), diverging conditional jumps peel the minority side to
-// the scalar tail while the majority stays batched, and the head of the
-// adaptive testcase order keeps its one-testcase early-exit granularity —
-// so accept/reject decisions, costs and rejection profiles are
-// bit-identical to the per-testcase walk. WithBatchedEval(false) pins the
-// per-testcase loop; the seed interpreter survives behind
+// function sees. Each evaluation walks the testcases one at a time in an
+// adaptive order and stops at the first testcase that pushes the cost
+// over the rejection budget. WithBatchedEval(true) instead runs the tail
+// of each full evaluation batched: every compiled slot executes across
+// all live testcase lanes in lockstep before advancing (dispatch and
+// operand decode paid once per slot per chunk), diverging conditional
+// jumps peel the minority side to the scalar tail, and accept/reject
+// decisions, costs and rejection profiles stay bit-identical to the
+// per-testcase walk — but a chunk runs to its end past a mid-chunk
+// rejection, so it is off by default. The seed interpreter survives behind
 // WithInterpretedEval as the semantic reference, held equal to the
 // compiled path by randomized and fuzz-grade differential tests
 // (internal/emu's FuzzCompiledVsInterpreted, FuzzPatchVsFreshCompile and
@@ -119,7 +120,7 @@
 // submissions collide. A run whose fingerprint hits the
 // store returns the proven rewrite immediately — after replaying the
 // stored counterexample set plus freshly generated testcases through the
-// compiled evaluator as revalidation — without launching a search
+// reference interpreter as revalidation — without launching a search
 // (Report.CacheHit, Engine.SearchesLaunched); a same-class near-miss
 // (equal skeleton, different constants) warm-starts the search from the
 // cached rewrite, its counterexamples and its rejection profile.
@@ -147,8 +148,12 @@
 //	$ curl -s  localhost:8080/statsz                # cache + job counters
 //
 // Resubmitting the same kernel — or any register-renamed variant — then
-// answers synchronously from the store with "cache_hit": true, in
-// microseconds instead of a search.
+// answers synchronously from the store with "cache_hit": true. In
+// process a p01 hit takes about 0.3 ms on a 2-vCPU Intel Xeon VM
+// (BenchmarkCacheHit), against about 200 ms for the search that filled
+// the store. Most of a hit is generating fresh testcases for
+// revalidation, which costs time in the bytes the target touches, not
+// in the size of its stack.
 //
 // For one-shot use without managing an Engine, the package-level Optimize
 // creates a transient pool sized to the machine.

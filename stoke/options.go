@@ -80,7 +80,7 @@ func defaultSettings() settings {
 		verify:         verify.DefaultConfig,
 		tempering:      true,
 		sharedProfile:  true,
-		batched:        true,
+		batched:        false,
 		regLiveness:    true,
 		cexBank:        true,
 		verifyGate:     true,
@@ -302,12 +302,15 @@ func WithInterpretedEval() Option {
 }
 
 // WithBatchedEval toggles batched lockstep evaluation on the compiled
-// pipeline (default on): the tail of each candidate evaluation runs all
+// pipeline (default off): the tail of each candidate evaluation runs all
 // remaining testcases through one emu.Batch sweep — dispatch and operand
 // decode paid once per instruction slot instead of once per (slot,
 // testcase) — with diverging testcases peeling off to the scalar path at
-// conditional jumps. Decision-identical to the scalar compiled pipeline;
-// pass false to A/B against it. Ignored under WithInterpretedEval.
+// conditional jumps. Decision-identical to the scalar compiled pipeline,
+// but slower end to end: a batch runs its whole chunk even when a
+// testcase mid-chunk already pushed the candidate over its rejection
+// budget, work the per-testcase walk skips. Pass true to A/B against the
+// default. Ignored under WithInterpretedEval.
 func WithBatchedEval(enabled bool) Option {
 	return func(st *settings) { st.batched = enabled }
 }
