@@ -224,8 +224,12 @@ var evalModes = []struct {
 // across all live testcases in lockstep) — on an optimization-phase chain
 // (β=1, perf term on, started from the target: the regime the paper's §6
 // wall-clock is spent in) at the harness ℓ=14 and the paper's ℓ=50
-// profile. cmd/stoke-bench -eval-baseline records the same measurement,
-// plus secondary kernels, as a machine-readable BENCH_eval.json.
+// profile, plus one synthesis-regime chain (β=0.1, random ℓ=24 start, no
+// perf term, compiled under the kernel's live-out set as the engine does)
+// on the compiled path: the phase where most search time goes, memory-
+// operand shapes and no-op proposals included. cmd/stoke-bench
+// -eval-baseline records the optimization rows, plus secondary kernels,
+// as a machine-readable BENCH_eval.json.
 func BenchmarkEvalThroughput(b *testing.B) {
 	bench, err := kernels.ByName("p01")
 	if err != nil {
@@ -259,6 +263,25 @@ func BenchmarkEvalThroughput(b *testing.B) {
 			})
 		}
 	}
+	b.Run("synth/ell=24/compiled", func(b *testing.B) {
+		params := mcmc.PaperParams
+		params.Ell = 24
+		params.Beta = 0.1 // synthesis phase (stoke.DefaultSynthBeta)
+		s := &mcmc.Sampler{
+			Params: params,
+			Pools:  mcmc.PoolsFor(bench.Target, false),
+			Cost:   cost.NewLive(tests, bench.Spec.LiveOut, cost.Improved, 0),
+			Rng:    rand.New(rand.NewSource(9)),
+		}
+		start := s.RandomProgram()
+		b.ResetTimer()
+		res := s.Run(context.Background(), start, int64(b.N))
+		b.StopTimer()
+		if res.Best == nil {
+			b.Fatal("chain returned no program")
+		}
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "proposals/s")
+	})
 }
 
 // BenchmarkEvalThroughputBatched sweeps the testcase count |τ| ∈ {1, 4,

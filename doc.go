@@ -33,9 +33,10 @@
 // costs are non-negative, so the prefix sums cross any bound iff the total
 // does). The lowering is total over the search workloads: the divide family
 // (with its #DE early-exit) and the fixed-point SSE subset compile to
-// specialised micro-ops too, so no instruction of the tracked scalar,
-// vector (saxpy) or Montgomery kernels reaches the generic interpreting
-// fallback (a dispatch-counter test pins this), and the sandbox's
+// specialised micro-ops too, as does every memory-operand shape the
+// proposal pools emit, so no candidate the search proposes reaches the
+// generic interpreting fallback (dispatch-counter tests pin this over every
+// tracked kernel's pools), and the sandbox's
 // definedness/validity planes are word-wide bitsets so the memory-bound
 // kernels pay one mask check per access instead of a byte loop. A backward
 // flag-liveness pass over the compiled form (internal/emu/liveness.go)

@@ -14,12 +14,17 @@ import (
 // opcodes, operand kinds or widths. The throughput win comes from five
 // decode-time specialisations:
 //
-//   - Hot opcode/operand shapes (register, immediate and memory-source
-//     MOV/ALU forms, shifts, multiplies, LEA, CMOV, SETcc, CMP/TEST,
-//     bit-scan ops, push/pop) lower to flat handlers with widths, masks,
-//     sign bits and immediates baked in; everything else falls back to a
+//   - Every shape of the opcode signature table (register, immediate and
+//     memory operands of MOV/ALU forms, shifts, multiplies, LEA, CMOV,
+//     SETcc, CMP/TEST, bit-scan ops, push/pop, the divide family and the
+//     SSE subset) lowers to a flat handler with widths, masks, sign bits
+//     and immediates baked in. Memory destinations and the newer memory
+//     sources share the register forms' bodies: the md/ms fields route
+//     readDst/readSrc and the writeALU chokepoint through the memory
+//     operand. Only instructions outside the signature table (which the
+//     parser and the proposal distribution never produce) fall back to a
 //     handler that invokes the interpreter's exec on the source
-//     instruction, so the two paths cannot disagree on rare opcodes.
+//     instruction.
 //   - The hottest shapes additionally carry a dispatch code the run loop
 //     inlines directly, skipping even the indirect handler call.
 //   - Specialised handlers compute the full flag update as one word and
@@ -243,28 +248,35 @@ type handlerFn func(m *Machine, u *microOp)
 // handler; in points at the source instruction slot inside the compiled
 // program (the generic fallback interprets it and memory handlers take
 // their address operand from it — program slots are mutated in place and
-// never reallocated, so the pointer stays valid across patches).
+// never reallocated, so the pointer stays valid across patches). Fields
+// are ordered widest first so the struct fills exactly one 64-byte cache
+// line (TestMicroOpFitsCacheLine pins it).
 type microOp struct {
 	run    handlerFn
 	in     *x64.Inst
-	kind   microKind
-	ctl    bool // LABEL/JMP/Jcc/RET: patching this slot forces a relink
-	w      uint8
-	w2     uint8 // second width (movsx/movzx source)
-	cc     x64.Cond
-	dst    x64.Reg
-	src    x64.Reg
-	nf     bool  // liveness: every flag this slot writes is dead (liveness.go)
-	nr     bool  // liveness: every register this slot writes is dead (liveness.go)
-	target int32 // jump destination (slot index)
-	next   int32 // first live slot after this one: the fall-through pc
 	mask   uint64
 	sbit   uint64
 	imm    uint64
+	target int32 // jump destination (slot index)
+	next   int32 // first live slot after this one: the fall-through pc
 	// Static latency of this slot (Equation 13 term). Latencies are small
-	// integers, so float32 is exact; the narrower field is what keeps
-	// microOp inside one cache line after the nr bit.
-	lat float32
+	// integers, so float32 is exact.
+	lat  float32
+	kind microKind
+	ctl  bool // LABEL/JMP/Jcc/RET: patching this slot forces a relink
+	w    uint8
+	w2   uint8 // second width (movsx/movzx source)
+	cc   x64.Cond
+	dst  x64.Reg
+	src  x64.Reg
+	nf   bool // liveness: every flag this slot writes is dead (liveness.go)
+	nr   bool // liveness: every register this slot writes is dead (liveness.go)
+	// md and ms route a handler's destination or source operand through
+	// memory: when non-zero, readDst/writeALU (md) or readSrc (ms) access
+	// the memory operand in.Opd[md-1] / in.Opd[ms-1] instead of the dst /
+	// src register, so one handler body serves both operand kinds.
+	md uint8
+	ms uint8
 }
 
 // slotFlags is the flag-liveness state of one slot (liveness.go): the
@@ -591,6 +603,11 @@ func (c *Compiled) lowerSlot(i int) {
 	f := &c.flags[i]
 	f.gen, f.kill, f.write = flagSummary(in)
 	lowerExec(u, in)
+	if u.md|u.ms != 0 {
+		// Memory-routed operands have no inline body: the run loop's hot
+		// codes read and write registers directly.
+		u.kind = mkExec
+	}
 	rg := &c.regs[i]
 	*rg = regSummary(in)
 	rg.in, rg.liveOut = prevRg.in, prevRg.liveOut
@@ -600,19 +617,24 @@ func (c *Compiled) lowerSlot(i int) {
 	// bodies' reads; hGeneric runs the interpreter and cannot skip its
 	// stores) that write at least one register and no memory, and never
 	// to the stack ops (push writes memory anyway; pop's RSP/load chain
-	// isn't worth a suppressed shape).
+	// isn't worth a suppressed shape). Memory-routed slots (md/ms) are
+	// excluded too: they were served by hGeneric before they got handlers,
+	// and suppressing their dead writes would change the non-live register
+	// values the Improved metric's rival scan reads under cost.NewLive —
+	// and with them fixed-seed search trajectories.
 	if u.run == nil {
 		u.run = hGeneric
 	} else {
-		rg.eligible = rg.writes() && !rg.memWrite && in.Op != x64.POP
+		rg.eligible = rg.writes() && !rg.memWrite && in.Op != x64.POP && u.md|u.ms == 0
 	}
 	if rg.writes() {
 		c.wrCount++
 	}
 }
 
-// lowerExec picks a specialised handler for the hot opcode/operand shapes,
-// leaving u.run as the generic fallback when no specialisation applies.
+// lowerExec picks a specialised handler for the instruction's opcode and
+// operand shape, leaving u.run nil (the generic fallback) for shapes
+// outside the opcode signature table.
 func lowerExec(u *microOp, in *x64.Inst) {
 	switch in.Op {
 	case x64.MOV, x64.MOVABS, x64.MOVZX:
@@ -620,24 +642,23 @@ func lowerExec(u *microOp, in *x64.Inst) {
 
 	case x64.MOVSX:
 		s, d := in.Opd[0], in.Opd[1]
-		if s.Kind == x64.KindReg && d.Kind == x64.KindReg {
-			u.dst, u.src = d.Reg, s.Reg
-			u.setWidth(d.Width)
-			u.w2 = s.Width
-			u.run = hMovsxRR
-			u.kind = mkMovsxRR
+		if d.Kind != x64.KindReg || !u.srcOperand(s, 1) {
+			return
 		}
+		u.dst = d.Reg
+		u.setWidth(d.Width)
+		u.w2 = s.Width
+		u.run = hMovsx
+		u.kind = mkMovsxRR
 
 	case x64.ADD, x64.SUB, x64.AND, x64.OR, x64.XOR, x64.ADC, x64.SBB:
 		lowerALU(u, in)
 
 	case x64.CMP:
 		d, s := in.Opd[1], in.Opd[0]
-		if d.Kind != x64.KindReg {
+		if !u.dstOperand(d, 2) {
 			return
 		}
-		u.dst = d.Reg
-		u.setWidth(d.Width)
 		switch s.Kind {
 		case x64.KindReg:
 			if s.Width == d.Width {
@@ -650,18 +671,16 @@ func lowerExec(u *microOp, in *x64.Inst) {
 			u.run = hCmpRI
 			u.kind = mkCmpRI
 		case x64.KindMem:
-			if s.Width == d.Width {
+			if s.Width == d.Width && u.md == 0 {
 				u.run = hCmpMR
 			}
 		}
 
 	case x64.TEST:
 		d, s := in.Opd[1], in.Opd[0]
-		if d.Kind != x64.KindReg {
+		if !u.dstOperand(d, 2) {
 			return
 		}
-		u.dst = d.Reg
-		u.setWidth(d.Width)
 		switch s.Kind {
 		case x64.KindReg:
 			if s.Width == d.Width {
@@ -685,31 +704,27 @@ func lowerExec(u *microOp, in *x64.Inst) {
 		}
 
 	case x64.INC, x64.DEC:
-		d := in.Opd[0]
-		if d.Kind == x64.KindReg {
-			u.dst = d.Reg
-			u.setWidth(d.Width)
-			if in.Op == x64.INC {
-				u.run = hIncR
-				u.kindWN(mkIncW, mkIncN)
-			} else {
-				u.run = hDecR
-				u.kindWN(mkDecW, mkDecN)
-			}
+		if !u.dstOperand(in.Opd[0], 1) {
+			return
+		}
+		if in.Op == x64.INC {
+			u.run = hIncR
+			u.kindWN(mkIncW, mkIncN)
+		} else {
+			u.run = hDecR
+			u.kindWN(mkDecW, mkDecN)
 		}
 
 	case x64.NEG, x64.NOT:
-		d := in.Opd[0]
-		if d.Kind == x64.KindReg {
-			u.dst = d.Reg
-			u.setWidth(d.Width)
-			if in.Op == x64.NEG {
-				u.run = hNegR
-				u.kindWN(mkNegW, mkNegN)
-			} else {
-				u.run = hNotR
-				u.kindW(mkNotW)
-			}
+		if !u.dstOperand(in.Opd[0], 1) {
+			return
+		}
+		if in.Op == x64.NEG {
+			u.run = hNegR
+			u.kindWN(mkNegW, mkNegN)
+		} else {
+			u.run = hNotR
+			u.kindW(mkNotW)
 		}
 
 	case x64.IMUL:
@@ -733,8 +748,8 @@ func lowerExec(u *microOp, in *x64.Inst) {
 
 	case x64.IMUL3:
 		d, s, im := in.Opd[2], in.Opd[1], in.Opd[0]
-		if d.Kind == x64.KindReg && s.Kind == x64.KindReg && s.Width == d.Width {
-			u.dst, u.src = d.Reg, s.Reg
+		if d.Kind == x64.KindReg && s.Width == d.Width && u.srcOperand(s, 2) {
+			u.dst = d.Reg
 			u.setWidth(d.Width)
 			u.imm = uint64(im.Imm) & widthMask(d.Width)
 			u.run = hImul3RR
@@ -742,8 +757,7 @@ func lowerExec(u *microOp, in *x64.Inst) {
 
 	case x64.MUL, x64.IMUL1:
 		s := in.Opd[0]
-		if s.Kind == x64.KindReg {
-			u.src = s.Reg
+		if u.srcOperand(s, 1) {
 			u.setWidth(s.Width)
 			if in.Op == x64.MUL {
 				u.run = hMul1R
@@ -804,8 +818,8 @@ func lowerExec(u *microOp, in *x64.Inst) {
 
 	case x64.POPCNT:
 		d, s := in.Opd[1], in.Opd[0]
-		if d.Kind == x64.KindReg && s.Kind == x64.KindReg && s.Width == d.Width {
-			u.dst, u.src = d.Reg, s.Reg
+		if d.Kind == x64.KindReg && s.Width == d.Width && u.srcOperand(s, 1) {
+			u.dst = d.Reg
 			u.setWidth(d.Width)
 			u.run = hPopcntRR
 		}
@@ -859,11 +873,9 @@ func lowerExec(u *microOp, in *x64.Inst) {
 		}
 
 	case x64.SETcc:
-		d := in.Opd[0]
-		if d.Kind == x64.KindReg {
-			u.dst = d.Reg
+		if u.dstOperand(in.Opd[0], 1) {
 			u.cc = in.CC
-			u.run = hSetccR
+			u.run = hSetcc
 			u.kind = mkSetcc
 		}
 
@@ -926,12 +938,10 @@ func lowerMov(u *microOp, in *x64.Inst) {
 
 func lowerALU(u *microOp, in *x64.Inst) {
 	d, s := in.Opd[1], in.Opd[0]
-	if d.Kind != x64.KindReg {
+	if !u.dstOperand(d, 2) {
 		return
 	}
-	u.dst = d.Reg
-	u.setWidth(d.Width)
-	same := s.Kind == x64.KindReg && s.Reg == d.Reg && s.Width == d.Width
+	same := d.Kind == x64.KindReg && s.Kind == x64.KindReg && s.Reg == d.Reg && s.Width == d.Width
 	if same && in.Op == x64.XOR {
 		u.run = hXorZero
 		u.kindWN(mkZeroW, mkZeroN)
@@ -993,7 +1003,7 @@ func lowerALU(u *microOp, in *x64.Inst) {
 			u.run = hSbbRI
 		}
 	case x64.KindMem:
-		if s.Width != d.Width {
+		if s.Width != d.Width || u.md != 0 {
 			return
 		}
 		switch in.Op {
@@ -1007,17 +1017,53 @@ func lowerALU(u *microOp, in *x64.Inst) {
 			u.run = hOrMR
 		case x64.XOR:
 			u.run = hXorMR
+		case x64.ADC:
+			u.ms = 1
+			u.run = hAdcRR
+		case x64.SBB:
+			u.ms = 1
+			u.run = hSbbRR
 		}
 	}
 }
 
+// dstOperand lowers a destination operand at operand index k-1: a
+// register into u.dst, a memory operand into the md route (readDst and
+// writeALU then load from and store to it). It bakes the width in and
+// reports false for any other operand kind.
+func (u *microOp) dstOperand(d x64.Operand, k uint8) bool {
+	switch d.Kind {
+	case x64.KindReg:
+		u.dst = d.Reg
+	case x64.KindMem:
+		u.md = k
+	default:
+		return false
+	}
+	u.setWidth(d.Width)
+	return true
+}
+
+// srcOperand lowers a source operand at operand index k-1 — a register
+// into u.src, a memory operand into the ms route that readSrc loads
+// through — reporting false for any other operand kind.
+func (u *microOp) srcOperand(s x64.Operand, k uint8) bool {
+	switch s.Kind {
+	case x64.KindReg:
+		u.src = s.Reg
+	case x64.KindMem:
+		u.ms = k
+	default:
+		return false
+	}
+	return true
+}
+
 func lowerShift(u *microOp, in *x64.Inst) {
 	d, s := in.Opd[1], in.Opd[0]
-	if d.Kind != x64.KindReg {
+	if !u.dstOperand(d, 2) {
 		return
 	}
-	u.dst = d.Reg
-	u.setWidth(d.Width)
 	countMask := uint64(31)
 	if d.Width == 8 {
 		countMask = 63
@@ -1751,19 +1797,52 @@ func hMovStoreI(m *Machine, u *microOp) {
 	m.store(m.effectiveAddr(u.in.Opd[1]), int(u.w), u.imm)
 }
 
-func hMovsxRR(m *Machine, u *microOp) {
-	v := m.readReg(u.src, widthMask(u.w2))
+func hMovsx(m *Machine, u *microOp) {
+	var v uint64
+	if u.ms != 0 {
+		v = m.load(m.effectiveAddr(u.in.Opd[0]), int(u.w2))
+	} else {
+		v = m.readReg(u.src, widthMask(u.w2))
+	}
 	inv := 64 - 8*uint(u.w2)
 	m.writeALU(u, uint64(int64(v<<inv)>>inv)&u.mask)
 }
 
-// writeALU stores a pre-masked result into the destination register with
-// the hardware width rules. It is the single write chokepoint of every
-// handler-dispatched ALU-shaped body, so the register-liveness nr bit is
-// honoured here: a suppressed narrow write still counts the merge read of
-// an undefined destination (writeGPR counts it before merging), then
-// skips the store and the definedness update.
+// readDst reads the destination operand of a read-modify-write (or
+// compare) body: the dst register, or — on the md route — a u.w-byte load
+// through the memory operand, counting undef and sigsegv as the
+// interpreter's readOperand does.
+func (m *Machine) readDst(u *microOp) uint64 {
+	if u.md != 0 {
+		return m.load(m.effectiveAddr(u.in.Opd[u.md-1]), int(u.w))
+	}
+	return m.readReg(u.dst, u.mask)
+}
+
+// readSrc reads the source operand: the src register, or — on the ms
+// route — a u.w-byte load through the memory operand.
+func (m *Machine) readSrc(u *microOp) uint64 {
+	if u.ms != 0 {
+		return m.load(m.effectiveAddr(u.in.Opd[u.ms-1]), int(u.w))
+	}
+	return m.readReg(u.src, u.mask)
+}
+
+// writeALU stores a pre-masked result into the destination with the
+// hardware width rules. It is the single write chokepoint of every
+// handler-dispatched ALU-shaped body. A memory destination (md route)
+// resolves its address a second time for the store, exactly as the
+// interpreter's writeOperand does after its readOperand: an undefined
+// base or index and an unmapped address are counted on the load and again
+// on the store. Register destinations honour the register-liveness nr
+// bit: a suppressed narrow write still counts the merge read of an
+// undefined destination (writeGPR counts it before merging), then skips
+// the store and the definedness update.
 func (m *Machine) writeALU(u *microOp, r uint64) {
+	if u.md != 0 {
+		m.store(m.effectiveAddr(u.in.Opd[u.md-1]), int(u.w), r)
+		return
+	}
 	if u.nr {
 		if u.w < 4 {
 			m.undef += int(^m.RegDef >> u.dst & 1)
@@ -1778,7 +1857,7 @@ func (m *Machine) writeALU(u *microOp, r uint64) {
 }
 
 func hAddRR(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	b := m.readReg(u.src, u.mask)
 	r := (a + b) & u.mask
 	if !u.nf {
@@ -1788,7 +1867,7 @@ func hAddRR(m *Machine, u *microOp) {
 }
 
 func hAddRI(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	r := (a + u.imm) & u.mask
 	if !u.nf {
 		m.putFlags(x64.AllFlags, addBits(a, u.imm, 0, r, u))
@@ -1807,7 +1886,7 @@ func hAddMR(m *Machine, u *microOp) {
 }
 
 func hSubRR(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	b := m.readReg(u.src, u.mask)
 	r := (a - b) & u.mask
 	if !u.nf {
@@ -1817,7 +1896,7 @@ func hSubRR(m *Machine, u *microOp) {
 }
 
 func hSubRI(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	r := (a - u.imm) & u.mask
 	if !u.nf {
 		m.putFlags(x64.AllFlags, subBits(a, u.imm, 0, r, u))
@@ -1845,8 +1924,8 @@ func (m *Machine) carryIn() uint64 {
 }
 
 func hAdcRR(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
-	b := m.readReg(u.src, u.mask)
+	a := m.readDst(u)
+	b := m.readSrc(u)
 	c := m.carryIn()
 	r := (a + b + c) & u.mask
 	if !u.nf {
@@ -1856,7 +1935,7 @@ func hAdcRR(m *Machine, u *microOp) {
 }
 
 func hAdcRI(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	c := m.carryIn()
 	r := (a + u.imm + c) & u.mask
 	if !u.nf {
@@ -1866,8 +1945,8 @@ func hAdcRI(m *Machine, u *microOp) {
 }
 
 func hSbbRR(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
-	b := m.readReg(u.src, u.mask)
+	a := m.readDst(u)
+	b := m.readSrc(u)
 	c := m.carryIn()
 	r := (a - b - c) & u.mask
 	if !u.nf {
@@ -1877,7 +1956,7 @@ func hSbbRR(m *Machine, u *microOp) {
 }
 
 func hSbbRI(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	c := m.carryIn()
 	r := (a - u.imm - c) & u.mask
 	if !u.nf {
@@ -1889,7 +1968,7 @@ func hSbbRI(m *Machine, u *microOp) {
 func logicBits(r uint64, u *microOp) x64.FlagSet { return szpBits(r, u.sbit) }
 
 func hAndRR(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	b := m.readReg(u.src, u.mask)
 	r := a & b
 	if !u.nf {
@@ -1899,7 +1978,7 @@ func hAndRR(m *Machine, u *microOp) {
 }
 
 func hAndRI(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	r := a & u.imm
 	if !u.nf {
 		m.putFlags(x64.AllFlags, logicBits(r, u))
@@ -1918,7 +1997,7 @@ func hAndMR(m *Machine, u *microOp) {
 }
 
 func hOrRR(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	b := m.readReg(u.src, u.mask)
 	r := a | b
 	if !u.nf {
@@ -1928,7 +2007,7 @@ func hOrRR(m *Machine, u *microOp) {
 }
 
 func hOrRI(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	r := a | u.imm
 	if !u.nf {
 		m.putFlags(x64.AllFlags, logicBits(r, u))
@@ -1947,7 +2026,7 @@ func hOrMR(m *Machine, u *microOp) {
 }
 
 func hXorRR(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	b := m.readReg(u.src, u.mask)
 	r := a ^ b
 	if !u.nf {
@@ -1957,7 +2036,7 @@ func hXorRR(m *Machine, u *microOp) {
 }
 
 func hXorRI(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	r := a ^ u.imm
 	if !u.nf {
 		m.putFlags(x64.AllFlags, logicBits(r, u))
@@ -1992,7 +2071,7 @@ func hSubZero(m *Machine, u *microOp) {
 }
 
 func hCmpRR(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	b := m.readReg(u.src, u.mask)
 	if !u.nf {
 		m.putFlags(x64.AllFlags, subBits(a, b, 0, (a-b)&u.mask, u))
@@ -2000,7 +2079,7 @@ func hCmpRR(m *Machine, u *microOp) {
 }
 
 func hCmpRI(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	if !u.nf {
 		m.putFlags(x64.AllFlags, subBits(a, u.imm, 0, (a-u.imm)&u.mask, u))
 	}
@@ -2015,7 +2094,7 @@ func hCmpMR(m *Machine, u *microOp) {
 }
 
 func hTestRR(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	b := m.readReg(u.src, u.mask)
 	if !u.nf {
 		m.putFlags(x64.AllFlags, logicBits(a&b, u))
@@ -2023,7 +2102,7 @@ func hTestRR(m *Machine, u *microOp) {
 }
 
 func hTestRI(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	if !u.nf {
 		m.putFlags(x64.AllFlags, logicBits(a&u.imm, u))
 	}
@@ -2038,7 +2117,7 @@ func hLea(m *Machine, u *microOp) {
 const incDecFlags = x64.PF | x64.ZF | x64.SF | x64.OF
 
 func hIncR(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	r := (a + 1) & u.mask
 	if !u.nf {
 		fl := szpBits(r, u.sbit)
@@ -2051,7 +2130,7 @@ func hIncR(m *Machine, u *microOp) {
 }
 
 func hDecR(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	r := (a - 1) & u.mask
 	if !u.nf {
 		fl := szpBits(r, u.sbit)
@@ -2064,7 +2143,7 @@ func hDecR(m *Machine, u *microOp) {
 }
 
 func hNegR(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	r := (-a) & u.mask
 	if !u.nf {
 		fl := szpBits(r, u.sbit)
@@ -2080,7 +2159,7 @@ func hNegR(m *Machine, u *microOp) {
 }
 
 func hNotR(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	m.writeALU(u, ^a&u.mask)
 }
 
@@ -2097,12 +2176,12 @@ func hCmovRR(m *Machine, u *microOp) {
 	m.writeALU(u, v)
 }
 
-func hSetccR(m *Machine, u *microOp) {
+func hSetcc(m *Machine, u *microOp) {
 	v := uint64(0)
 	if x64.EvalCond(u.cc, m.readFlagsFor(u.cc)) {
 		v = 1
 	}
-	m.writeGPR(u.dst, 1, v)
+	m.writeALU(u, v)
 }
 
 // imulBits is the fused imulFlags: CF = OF = (full product does not fit),
@@ -2151,7 +2230,7 @@ func hImulMR(m *Machine, u *microOp) {
 }
 
 func hImul3RR(m *Machine, u *microOp) {
-	a := sext(m.readReg(u.src, u.mask), u.w)
+	a := sext(m.readSrc(u), u.w)
 	b := sext(u.imm, u.w)
 	hi, lo := mulSigned(a, b)
 	r := uint64(lo) & u.mask
@@ -2165,7 +2244,7 @@ func hImul3RR(m *Machine, u *microOp) {
 // register source: RDX:RAX = RAX * src (or EDX:EAX at width 4, where the
 // destination writes zero-extend so the pre-masked halves store directly).
 func hMul1R(m *Machine, u *microOp) {
-	src := m.readReg(u.src, u.mask)
+	src := m.readSrc(u)
 	a := m.readReg(x64.RAX, u.mask)
 	var hiOut, loOut uint64
 	var overflow bool
@@ -2193,7 +2272,7 @@ func hMul1R(m *Machine, u *microOp) {
 }
 
 func hImul1R(m *Machine, u *microOp) {
-	src := m.readReg(u.src, u.mask)
+	src := m.readSrc(u)
 	a := m.readReg(x64.RAX, u.mask)
 	sa, sb := sext(a, u.w), sext(src, u.w)
 	var hiOut, loOut uint64
@@ -2324,7 +2403,7 @@ func rorCore(m *Machine, u *microOp, a, count uint64) {
 }
 
 func hShlI(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	if u.imm == 0 {
 		m.writeALU(u, a)
 		return
@@ -2333,7 +2412,7 @@ func hShlI(m *Machine, u *microOp) {
 }
 
 func hShrI(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	if u.imm == 0 {
 		m.writeALU(u, a)
 		return
@@ -2342,7 +2421,7 @@ func hShrI(m *Machine, u *microOp) {
 }
 
 func hSarI(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	if u.imm == 0 {
 		m.writeALU(u, a)
 		return
@@ -2351,7 +2430,7 @@ func hSarI(m *Machine, u *microOp) {
 }
 
 func hRolI(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	if u.imm == 0 {
 		m.writeALU(u, a)
 		return
@@ -2360,7 +2439,7 @@ func hRolI(m *Machine, u *microOp) {
 }
 
 func hRorI(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	if u.imm == 0 {
 		m.writeALU(u, a)
 		return
@@ -2370,7 +2449,7 @@ func hRorI(m *Machine, u *microOp) {
 
 func hShlCL(m *Machine, u *microOp) {
 	count := m.shiftCL(u)
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	if count == 0 {
 		m.writeALU(u, a)
 		return
@@ -2380,7 +2459,7 @@ func hShlCL(m *Machine, u *microOp) {
 
 func hShrCL(m *Machine, u *microOp) {
 	count := m.shiftCL(u)
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	if count == 0 {
 		m.writeALU(u, a)
 		return
@@ -2390,7 +2469,7 @@ func hShrCL(m *Machine, u *microOp) {
 
 func hSarCL(m *Machine, u *microOp) {
 	count := m.shiftCL(u)
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	if count == 0 {
 		m.writeALU(u, a)
 		return
@@ -2400,7 +2479,7 @@ func hSarCL(m *Machine, u *microOp) {
 
 func hRolCL(m *Machine, u *microOp) {
 	count := m.shiftCL(u)
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	if count == 0 {
 		m.writeALU(u, a)
 		return
@@ -2410,7 +2489,7 @@ func hRolCL(m *Machine, u *microOp) {
 
 func hRorCL(m *Machine, u *microOp) {
 	count := m.shiftCL(u)
-	a := m.readReg(u.dst, u.mask)
+	a := m.readDst(u)
 	if count == 0 {
 		m.writeALU(u, a)
 		return
@@ -2471,7 +2550,7 @@ func hShrdI(m *Machine, u *microOp) {
 // --- bit ops, exchanges, stack -------------------------------------------
 
 func hPopcntRR(m *Machine, u *microOp) {
-	a := m.readReg(u.src, u.mask)
+	a := m.readSrc(u)
 	r := uint64(bits.OnesCount64(a))
 	if !u.nf {
 		var fl x64.FlagSet

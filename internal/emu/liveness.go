@@ -307,7 +307,7 @@ func (c *Compiled) applyLiveness(i int) {
 	if f.write != 0 {
 		// The nf bit suppresses the flag store of handler-dispatched
 		// slots — the shapes without an inline variant code (narrow
-		// widths, memory sources, CL shifts, the mul/div families): every
+		// widths, memory operands, CL shifts, the mul/div families): every
 		// specialised flag-writing handler guards its putFlags on it, and
 		// the generic fallback honours it by restoring the flag words
 		// around the interpreter switch (hGeneric).

@@ -23,8 +23,15 @@ import (
 // over many random snapshots.
 func runDifferential(t *testing.T, src string, iters int) *emu.Compiled {
 	t.Helper()
+	return runDifferentialProg(t, x64.MustParse(src), iters)
+}
+
+// runDifferentialProg is runDifferential over an already-built program,
+// for shapes the parser's signature table does not produce.
+func runDifferentialProg(t *testing.T, p *x64.Program, iters int) *emu.Compiled {
+	t.Helper()
 	rng := rand.New(rand.NewSource(61))
-	p := x64.MustParse(src)
+	src := p.String()
 	c := emu.Compile(p)
 	mi, mc := emu.New(), emu.New()
 	for i := 0; i < iters; i++ {
@@ -370,24 +377,33 @@ func TestFlagFreeFractionOnTrackedKernels(t *testing.T) {
 	}
 }
 
-// TestLivenessGenericFallback: memory-destination ALU forms have no inline
-// lowering and dispatch through the generic interpreter fallback. The
-// fallback must honour the nf bit like every specialised handler — dead
-// flag writes are suppressed by restoring the flag words around the
-// interpreter switch — while flag *reads* inside the switch (adc) still
-// see the incoming values, and live flag writes still land.
+// TestLivenessGenericFallback: shapes with no specialised handler
+// dispatch through the generic interpreter fallback. Every shape of the
+// opcode signature table has a handler, so the fallback is reached here
+// through instructions built outside it: a memory-source bsf and an adc
+// of a 4-byte register into an 8-byte memory destination, both of which
+// the interpreter models. The fallback must honour the nf bit like every
+// specialised handler — dead flag writes are suppressed by restoring the
+// flag words around the interpreter switch — while flag *reads* inside the
+// switch (adc) still see the incoming values, and live flag writes still
+// land.
 func TestLivenessGenericFallback(t *testing.T) {
-	// Dead flags: the trailing cmp redefines everything the add writes.
-	c := runDifferential(t, "addq rsi, -8(rsp)\ncmpq rdx, rcx", 400)
+	prog := func(insts ...x64.Inst) *x64.Program { return &x64.Program{Insts: insts} }
+	bsf := x64.MakeInst(x64.BSF, x64.Mem(x64.RSP, -8, 8), x64.R(x64.RAX, 8))
+	cmpRDX := x64.MakeInst(x64.CMP, x64.R(x64.RDX, 8), x64.R(x64.RCX, 8))
+
+	// Dead flags: the trailing cmp redefines everything the bsf writes.
+	c := runDifferentialProg(t, prog(bsf, cmpRDX), 400)
 	if got := c.FallbackSlots(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("memory-destination add must dispatch generically, fallback slots %v", got)
+		t.Fatalf("memory-source bsf must dispatch generically, fallback slots %v", got)
 	}
 	if n := c.FlagFreeSlots(); n != 1 {
 		t.Errorf("dead generic-fallback flags: %d flag-free slots, want 1", n)
 	}
 
-	// Live flags: a setb consumer pins the add; nothing may be suppressed.
-	c = runDifferential(t, "addq rsi, -8(rsp)\nsetb al\ncmpq rdx, rcx", 400)
+	// Live flags: a setb consumer pins the bsf; nothing may be suppressed.
+	setb := x64.MakeCCInst(x64.SETcc, x64.CondB, x64.R(x64.RAX, 1))
+	c = runDifferentialProg(t, prog(bsf, setb, cmpRDX), 400)
 	if n := c.FlagFreeSlots(); n != 0 {
 		t.Errorf("live generic-fallback flags: %d flag-free slots, want 0", n)
 	}
@@ -395,9 +411,13 @@ func TestLivenessGenericFallback(t *testing.T) {
 	// A flag-reading generic shape under suppression: the adc's CF read
 	// must see the head cmp's carry even though the adc's own writes are
 	// suppressed and then redefined.
-	c = runDifferential(t, "cmpq rsi, rdi\nadcq rdx, -16(rsp)\nxorq rcx, rcx", 400)
+	c = runDifferentialProg(t, prog(
+		x64.MakeInst(x64.CMP, x64.R(x64.RSI, 8), x64.R(x64.RDI, 8)),
+		x64.MakeInst(x64.ADC, x64.R(x64.RDX, 4), x64.Mem(x64.RSP, -16, 8)),
+		x64.MakeInst(x64.XOR, x64.R(x64.RCX, 8), x64.R(x64.RCX, 8)),
+	), 400)
 	if got := c.FallbackSlots(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("memory-destination adc must dispatch generically, fallback slots %v", got)
+		t.Fatalf("mixed-width adc must dispatch generically, fallback slots %v", got)
 	}
 	if n := c.FlagFreeSlots(); n != 1 {
 		t.Errorf("dead adc writes: %d flag-free slots, want 1 (its CF read pins the cmp)", n)

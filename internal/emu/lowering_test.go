@@ -1,9 +1,11 @@
 package emu_test
 
-// Tests pinning the DIV/IDIV and SSE lowering: a dispatch-counter test
-// proving the tracked vector and Montgomery kernels never reach the generic
-// interpreting fallback, plus directed differential sweeps over the divide
-// family's #DE edges and every SSE opcode's operand shapes. The randomized
+// Tests pinning the lowering's coverage: dispatch-counter tests proving the
+// tracked vector and Montgomery kernels, and random candidates from every
+// tracked kernel's proposal pools, never reach the generic interpreting
+// fallback, plus directed differential sweeps over every memory-operand
+// signature, the divide family's #DE edges and every SSE opcode's operand
+// shapes. The randomized
 // and fuzz-grade differential suites (compile_test.go, fuzz_test.go) cover
 // the same handlers from the proposal distribution's angle.
 
@@ -13,6 +15,7 @@ import (
 
 	"repro/internal/emu"
 	"repro/internal/kernels"
+	"repro/internal/mcmc"
 	"repro/internal/testgen"
 	"repro/internal/x64"
 )
@@ -59,9 +62,13 @@ func TestNoFallbackOnTrackedKernels(t *testing.T) {
 		}
 	}
 
-	// Positive control: a shape with no specialised handler (memory-
-	// destination ALU) must still route through the fallback and count.
-	p := x64.MustParse("addl 7, (rdi)")
+	// Positive control: a shape with no specialised handler must still
+	// route through the fallback and count. Every shape in the opcode
+	// signature table has one, so the control is an exchange with memory —
+	// real x86, modelled by the interpreter, but outside the signatures
+	// the parser and the proposal distribution produce.
+	p := x64.NewProgram(1)
+	p.Insts[0] = x64.MakeInst(x64.XCHG, x64.R(x64.RSI, 8), x64.Mem(x64.RDI, 0, 8))
 	c := emu.Compile(p)
 	if slots := c.FallbackSlots(); len(slots) != 1 {
 		t.Fatalf("control program fallback slots = %v, want exactly one", slots)
@@ -71,6 +78,161 @@ func TestNoFallbackOnTrackedKernels(t *testing.T) {
 	m.RunCompiled(c)
 	if m.GenericDispatches() != 1 {
 		t.Fatalf("control program generic dispatches = %d, want 1", m.GenericDispatches())
+	}
+}
+
+// TestNoFallbackOnProposalPools asserts that random ℓ=24 candidates drawn
+// from every tracked kernel's proposal pools — the memory-operand shapes
+// harvested from each target included — lower entirely onto specialised
+// micro-ops, never dispatch the generic fallback when run on the kernel's
+// testcases, and agree with the interpreter on every one of them.
+func TestNoFallbackOnProposalPools(t *testing.T) {
+	programs := 24
+	if testing.Short() {
+		programs = 6
+	}
+	mi, mc := emu.New(), emu.New()
+	for _, bench := range kernels.All() {
+		rng := rand.New(rand.NewSource(41))
+		tests, err := testgen.Generate(bench.Target, bench.Spec, 4, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		params := mcmc.PaperParams
+		params.Ell = 24
+		s := &mcmc.Sampler{Params: params, Pools: mcmc.PoolsFor(bench.Target, bench.SSE), Rng: rng}
+		mems := 0
+		for i := 0; i < programs; i++ {
+			p := s.RandomProgram()
+			for _, in := range p.Insts {
+				for k := uint8(0); k < in.N; k++ {
+					if in.Opd[k].Kind == x64.KindMem && in.Op != x64.LEA {
+						mems++
+					}
+				}
+			}
+			c := emu.Compile(p)
+			if slots := c.FallbackSlots(); len(slots) != 0 {
+				t.Fatalf("%s: slots %v lowered to the generic fallback:\n%s", bench.Name, slots, p)
+			}
+			for j := range tests {
+				runBoth(t, mi, mc, p, c, tests[j].In, bench.Name)
+			}
+			if t.Failed() {
+				t.Fatalf("%s: diverging program:\n%s", bench.Name, p)
+			}
+		}
+		if mems == 0 && len(s.Pools.Mems) != 0 {
+			t.Errorf("%s: no memory operands drawn from a pool with %d shapes", bench.Name, len(s.Pools.Mems))
+		}
+	}
+	if n := mc.GenericDispatches(); n != 0 {
+		t.Fatalf("%d generic dispatches running pool programs", n)
+	}
+}
+
+// memShapeInsts builds, for every proposable opcode signature with a
+// memory operand, one instruction per register/immediate choice below:
+// memory operands off rdi and rsi (the registers randomSnapshot points into
+// its segment, or leaves undefined or unmapped), CL shift counts, and
+// immediates including the zero shift count.
+func memShapeInsts() []x64.Inst {
+	var out []x64.Inst
+	for op := x64.Opcode(0); op < x64.NumOpcodes; op++ {
+		info := x64.Info(op)
+		if !info.Proposable {
+			continue
+		}
+		for _, sig := range info.Sigs {
+			hasMem := false
+			for k := uint8(0); k < sig.N; k++ {
+				switch sig.Slot[k] {
+				case x64.TokM8, x64.TokM16, x64.TokM32, x64.TokM64, x64.TokM128:
+					hasMem = true
+				}
+			}
+			if !hasMem || op == x64.LEA {
+				continue
+			}
+			for variant := 0; variant < 3; variant++ {
+				ctx := uint8(8)
+				for k := uint8(0); k < sig.N; k++ {
+					if w := x64.TokWidth(sig.Slot[k]); w != 0 && w != 16 {
+						ctx = w
+					}
+				}
+				var opds []x64.Operand
+				for k := uint8(0); k < sig.N; k++ {
+					tok := sig.Slot[k]
+					w := x64.TokWidth(tok)
+					switch tok {
+					case x64.TokM8, x64.TokM16, x64.TokM32, x64.TokM64, x64.TokM128:
+						base := []x64.Reg{x64.RDI, x64.RSI, x64.RDI}[variant]
+						opds = append(opds, x64.Mem(base, int32(8*variant-4), w))
+					case x64.TokR8, x64.TokR16, x64.TokR32, x64.TokR64:
+						r := []x64.Reg{x64.RAX, x64.RDI, x64.R11}[variant]
+						if k == 0 && sig.N == 2 && isShiftOp(op) {
+							r = x64.RCX // shift counts live in CL
+						}
+						opds = append(opds, x64.R(r, w))
+					case x64.TokX:
+						opds = append(opds, x64.X(x64.Reg(variant)))
+					case x64.TokI:
+						opds = append(opds, x64.Imm([]int64{0, 1, -7}[variant], ctx))
+					}
+				}
+				in := x64.MakeInst(op, opds...)
+				if info.HasCC {
+					in.CC = x64.Cond(1 + variant*5%(int(x64.NumConds)-1))
+				}
+				out = append(out, in)
+			}
+		}
+	}
+	return out
+}
+
+func isShiftOp(op x64.Opcode) bool {
+	switch op {
+	case x64.SHL, x64.SHR, x64.SAR, x64.ROL, x64.ROR:
+		return true
+	}
+	return false
+}
+
+// TestCompiledMemoryOperandShapes sweeps every memory-operand signature of
+// every proposable opcode — read-modify-write destinations, memory
+// sources, compares and SETcc — at every width, alone and behind a flag
+// producer, against the interpreter over messy random states (undefined
+// and unmapped address registers, invalid and undefined bytes, undefined
+// carry), and demands each lowers to a specialised handler.
+func TestCompiledMemoryOperandShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	mi, mc := emu.New(), emu.New()
+	insts := memShapeInsts()
+	if len(insts) < 100 {
+		t.Fatalf("only %d memory-operand shapes enumerated", len(insts))
+	}
+	cmp := x64.MakeInst(x64.CMP, x64.R(x64.RSI, 8), x64.R(x64.RDX, 8))
+	for _, in := range insts {
+		if err := in.Validate(); err != nil {
+			t.Fatalf("%v: %v", in, err)
+		}
+		for _, p := range []*x64.Program{{Insts: []x64.Inst{in}}, {Insts: []x64.Inst{cmp, in}}} {
+			c := emu.Compile(p)
+			if slots := c.FallbackSlots(); len(slots) != 0 {
+				t.Fatalf("%v lowered to the generic fallback", in)
+			}
+			for i := 0; i < 40; i++ {
+				runBoth(t, mi, mc, p, c, randomSnapshot(rng), in.String())
+			}
+			if t.Failed() {
+				t.Fatalf("diverging program:\n%s", p)
+			}
+		}
+	}
+	if n := mc.GenericDispatches(); n != 0 {
+		t.Fatalf("%d generic dispatches", n)
 	}
 }
 

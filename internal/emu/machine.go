@@ -20,7 +20,11 @@
 //     Machine.RunCompiled dispatches over that form. The MCMC search
 //     evaluates millions of candidates that differ in at most two slots
 //     from their predecessor, so Compiled supports O(1) slot patching
-//     instead of recompilation (see compile.go). A backward liveness pass
+//     instead of recompilation (see compile.go). Every shape of the opcode
+//     signature table, memory operands included, lowers to a specialised
+//     handler; only instructions built outside that table reach the
+//     interpreting fallback (GenericDispatches counts them). A backward
+//     liveness pass
 //     additionally suppresses the flag computation of slots whose writes
 //     no condition consumer or exit can observe, and — in the same walk,
 //     over packed 16-bit GPR/XMM sets — the register stores of slots none

@@ -11,7 +11,11 @@
 // default: the current program is compiled once, every move mutates at most
 // two instruction slots in place, exactly those slots are re-lowered in the
 // compiled form (with the saved instructions restored — and re-patched — on
-// rejection), and cost.Fn.EvalCompiled scores the patched form. Setting
+// rejection), and cost.Fn.EvalCompiled scores the patched form. A no-op
+// move — one that left every touched slot as it was — proposes the current
+// program, so the chain accepts it at the current cost without patching or
+// running a testcase, still drawing its acceptance bound so the random
+// stream and every decision match a chain that evaluates it. Setting
 // Sampler.Batched keeps that discipline but scores through
 // cost.Fn.EvalCompiledBatched, which runs the tail of each evaluation as
 // one emu.Batch lockstep sweep over all remaining testcases — same
@@ -154,10 +158,17 @@ var proposableOpcodes, proposableSSE = func() (gp, sse []x64.Opcode) {
 	return gp, sse
 }()
 
-// Stats accumulates sampler counters; TestsEvaluated feeds Figure 5.
+// Stats accumulates sampler counters.
 type Stats struct {
-	Proposals      int64
-	Accepts        int64
+	Proposals int64
+	Accepts   int64
+
+	// TestsEvaluated counts testcase runs, the quantity Figure 5 plots.
+	// The compiled chain runs none for a no-op proposal — a move that
+	// rewrote its slots with the contents they already held, whose cost is
+	// the current one — so it counts fewer than the interpreted reference
+	// chain, which evaluates every proposal, while every other counter and
+	// the trajectory itself match.
 	TestsEvaluated int64
 
 	// RegFreeSlots / RegWritingSlots accumulate, per compiled proposal
@@ -399,7 +410,7 @@ func (r *Run) AddTests(tcs []testgen.Testcase) {
 	}
 	res := r.eval()
 	r.s.Stats.TestsEvaluated += int64(res.TestsRun)
-	r.cs.curCost = res.Cost
+	r.cs.curCost, r.cs.curEq = res.Cost, res.EqCost
 	if r.cs.bestCorrect != nil {
 		bres := r.s.Cost.Eval(r.cs.bestCorrect, cost.MaxBudget)
 		r.s.Stats.TestsEvaluated += int64(bres.TestsRun)
@@ -422,8 +433,11 @@ func (r *Run) AddTests(tcs []testgen.Testcase) {
 // acceptance-bound draw, and the final Result. The loops themselves differ
 // only in their evaluate/commit/undo mechanics.
 type chainState struct {
-	s               *Sampler
-	curCost         float64
+	s       *Sampler
+	curCost float64
+	// curEq is the eq term of curCost: with it, a no-op proposal is
+	// accepted with exactly the Result a fresh evaluation would return.
+	curEq           float64
 	best            *x64.Program
 	bestCost        float64
 	zero            bool
@@ -438,6 +452,7 @@ func (s *Sampler) newChain(cur *x64.Program, curRes cost.Result) *chainState {
 	cs := &chainState{
 		s:               s,
 		curCost:         curRes.Cost,
+		curEq:           curRes.EqCost,
 		best:            cur.Clone(),
 		bestCost:        curRes.Cost,
 		bestCorrectCost: math.Inf(1),
@@ -459,7 +474,7 @@ func (cs *chainState) restartDue() bool {
 	if cs.s.RestartAfter <= 0 || cs.sinceImprove < cs.s.RestartAfter || cs.bestCorrect == nil {
 		return false
 	}
-	cs.curCost = cs.bestCorrectCost
+	cs.curCost, cs.curEq = cs.bestCorrectCost, 0
 	cs.sinceImprove = 0
 	return true
 }
@@ -481,7 +496,7 @@ func (cs *chainState) bound() float64 {
 // accepted program.
 func (cs *chainState) accept(i int64, cur *x64.Program, res cost.Result) {
 	s := cs.s
-	cs.curCost = res.Cost
+	cs.curCost, cs.curEq = res.Cost, res.EqCost
 	s.Stats.Accepts++
 	if res.EqCost == 0 {
 		cs.zero = true
@@ -510,7 +525,7 @@ func (cs *chainState) accept(i int64, cur *x64.Program, res cost.Result) {
 // the best trackers update, but no proposal or accept is counted and
 // OnImprove does not fire — the program was not discovered by this chain.
 func (cs *chainState) observe(cur *x64.Program, res cost.Result) {
-	cs.curCost = res.Cost
+	cs.curCost, cs.curEq = res.Cost, res.EqCost
 	if res.EqCost == 0 {
 		cs.zero = true
 		if res.Cost < cs.bestCorrectCost {
@@ -551,7 +566,9 @@ func (cs *chainState) result() Result {
 // current program is mutated in place, the compiled form is patched at
 // exactly the slots a move touched, and rejection restores (and
 // re-patches) the saved instructions. Chain restarts rewrite the whole
-// program and recompile.
+// program and recompile. A no-op move — one that left every touched slot
+// as it was — proposes the current program, whose cost the chain already
+// knows, so it is accepted without patching or running a testcase.
 func (r *Run) stepCompiled(ctx context.Context, end int64) {
 	s, cur, comp, cs := r.s, r.cur, r.comp, r.cs
 
@@ -569,37 +586,49 @@ func (r *Run) stepCompiled(ctx context.Context, end int64) {
 		}
 
 		rec, ok := s.proposeTracked(cur)
-		if !ok {
+		switch {
+		case !ok:
 			// Degenerate move (e.g. no live instruction to mutate): the
 			// proposal equals the current state and is trivially accepted.
 			s.Stats.Accepts++
-			continue
-		}
-		var saved [2]emu.SavedSlot
-		for k := 0; k < rec.n; k++ {
-			saved[k] = comp.SaveSlot(rec.idx[k])
-			comp.Patch(rec.idx[k])
-		}
-		s.Stats.RegFreeSlots += int64(comp.RegFreeSlots())
-		s.Stats.RegWritingSlots += int64(comp.RegWritingSlots())
-
-		bound := cs.bound()
-		res := s.evalCompiled(comp, bound)
-		s.Stats.TestsEvaluated += int64(res.TestsRun)
-
-		if !res.Early && res.Cost <= bound {
-			// Accept: cur and comp already hold the proposal.
-			cs.accept(i, cur, res)
-		} else {
-			// Reject: restore the touched slots, then reinstate their
-			// saved compiled state — no re-lowering on the (majority)
-			// reject path. Reverse order, so a move that touched one slot
-			// twice lands on the first, pristine snapshot.
+		case rec.noop(cur):
+			// An evaluation would return the current Result and pass any
+			// bound at or above the current cost, so the proposal is
+			// accepted. The bound is still drawn, keeping the random
+			// stream — and every later decision — identical to a chain
+			// that evaluates it; the compiled form, unpatched, already is
+			// the proposal's.
+			s.Stats.RegFreeSlots += int64(comp.RegFreeSlots())
+			s.Stats.RegWritingSlots += int64(comp.RegWritingSlots())
+			cs.bound()
+			cs.accept(i, cur, cost.Result{Cost: cs.curCost, EqCost: cs.curEq})
+		default:
+			var saved [2]emu.SavedSlot
 			for k := 0; k < rec.n; k++ {
-				cur.Insts[rec.idx[k]] = rec.old[k]
+				saved[k] = comp.SaveSlot(rec.idx[k])
+				comp.Patch(rec.idx[k])
 			}
-			for k := rec.n - 1; k >= 0; k-- {
-				comp.RestoreSlot(rec.idx[k], saved[k])
+			s.Stats.RegFreeSlots += int64(comp.RegFreeSlots())
+			s.Stats.RegWritingSlots += int64(comp.RegWritingSlots())
+
+			bound := cs.bound()
+			res := s.evalCompiled(comp, bound)
+			s.Stats.TestsEvaluated += int64(res.TestsRun)
+
+			if !res.Early && res.Cost <= bound {
+				// Accept: cur and comp already hold the proposal.
+				cs.accept(i, cur, res)
+			} else {
+				// Reject: restore the touched slots, then reinstate their
+				// saved compiled state — no re-lowering on the (majority)
+				// reject path. Reverse order, so a move that touched one
+				// slot twice lands on the first, pristine snapshot.
+				for k := 0; k < rec.n; k++ {
+					cur.Insts[rec.idx[k]] = rec.old[k]
+				}
+				for k := rec.n - 1; k >= 0; k-- {
+					comp.RestoreSlot(rec.idx[k], saved[k])
+				}
 			}
 		}
 
@@ -634,6 +663,7 @@ func (r *Run) stepInterpreted(ctx context.Context, end int64) {
 			// Degenerate move (e.g. no live instruction to mutate): the
 			// proposal equals the current state and is trivially accepted.
 			s.Stats.Accepts++
+			cs.tick()
 			continue
 		}
 
@@ -670,6 +700,19 @@ func (r *moveRec) record(i int, inst x64.Inst) {
 	r.idx[r.n] = i
 	r.old[r.n] = inst
 	r.n++
+}
+
+// noop reports whether every slot the move touched in p still holds its
+// prior contents — an operand or opcode redrawn to itself, a swap of two
+// identical instructions, UNUSED written over UNUSED — so the proposal is
+// the current program.
+func (r *moveRec) noop(p *x64.Program) bool {
+	for k := 0; k < r.n; k++ {
+		if p.Insts[r.idx[k]] != r.old[k] {
+			return false
+		}
+	}
+	return true
 }
 
 // propose applies one random move to p in place, returning false if the

@@ -217,6 +217,28 @@ func TestStatsCallbacks(t *testing.T) {
 	}
 }
 
+// TestOnStepFiresEveryProposal: with StepInterval 1 the Figure 5/8 trace
+// callback must fire once per proposal on both chain loops — degenerate
+// moves (a swap of a slot with itself, an opcode move on an all-UNUSED
+// program) and the compiled loop's no-op proposals included.
+func TestOnStepFiresEveryProposal(t *testing.T) {
+	target := x64.MustParse("movq rdi, rax\naddq rsi, rax")
+	for _, interpreted := range []bool{false, true} {
+		for _, start := range []*x64.Program{target, x64.NewProgram(1)} {
+			s := newSampler(t, target, identitySpec(), cost.Improved, 1, 4, 29)
+			s.Interpreted = interpreted
+			s.StepInterval = 1
+			var steps int64
+			s.OnStep = func(Stats, float64) { steps++ }
+			res := s.Run(context.Background(), start, 3000)
+			if steps != res.Stats.Proposals {
+				t.Errorf("interpreted=%v, start %d slots: OnStep fired %d times over %d proposals",
+					interpreted, len(start.Insts), steps, res.Stats.Proposals)
+			}
+		}
+	}
+}
+
 // TestRunSetBetaAndProposals pins the coordination hooks of a resumable
 // Run: Proposals tracks the consumed budget across segments, and SetBeta
 // migrates the chain to a new temperature rung that governs acceptance

@@ -86,6 +86,7 @@ const (
 	FzRet
 	FzIncDec      // inc/dec/neg/not: the partial- and no-flag-write unary family
 	FzRegLiveness // width-varied writes over a small register set: deadness edges
+	FzMemOp       // memory-operand forms: read-modify-write destinations, memory sources, setcc
 	fzMenuLen
 )
 
@@ -148,6 +149,7 @@ func fzR(b byte) x64.Reg    { return x64.Reg(b % x64.NumGPR) }
 func fzX(b byte) x64.Reg    { return x64.Reg(b % x64.NumXMM) }
 func fzW(b byte) uint8      { return []uint8{8, 4}[b&1] }
 func fzWAll(b byte) uint8   { return []uint8{1, 2, 4, 8}[b%4] }
+func fzW16(b byte) uint8    { return []uint8{2, 4, 8}[b%3] }
 func fzDisp(b byte) int32   { return int32(int8(b)) }
 func fzBase(b byte) x64.Reg { return []x64.Reg{x64.RDI, x64.RSI}[b&1] }
 func fzCC(b byte) x64.Cond  { return x64.Cond(1 + int(b)%(int(x64.NumConds)-1)) }
@@ -319,8 +321,87 @@ func decodeFuzzInst(menu byte, a [4]byte) x64.Inst {
 			}
 			return x64.MakeInst(x64.MOVD, x64.R(dst, 4), x64.X(fzX(a[2])))
 		}
+	case FzMemOp:
+		return decodeFuzzMemOp(a)
 	}
 	return x64.Unused()
+}
+
+// decodeFuzzMemOp decodes the FzMemOp family: every memory-operand shape
+// the proposal pools emit. a[0]%8 picks the shape class and a[0]>>3 the
+// opcode within it; a[1] carries the width (low bits), the register/
+// immediate (or CL) choice (0x80) and the condition code; the memory
+// operand is Mem(fzBase(a[2]), fzDisp(a[3])) and a[2]>>1 supplies the
+// register, immediate or shift count.
+func decodeFuzzMemOp(a [4]byte) x64.Inst {
+	sub := a[0] >> 3
+	mem := func(w uint8) x64.Operand { return x64.Mem(fzBase(a[2]), fzDisp(a[3]), w) }
+	reg := func(w uint8) x64.Operand { return x64.R(fzR(a[2]>>1), w) }
+	imm := func(w uint8) x64.Operand { return x64.Imm(int64(fuzzVal((a[2]>>1)&0x0f, 0)), w) }
+	switch a[0] % 8 {
+	case 0: // read-modify-write ALU destination
+		ops := [7]x64.Opcode{x64.ADD, x64.SUB, x64.AND, x64.OR, x64.XOR, x64.ADC, x64.SBB}
+		w := fzWAll(a[1])
+		if a[1]&0x80 != 0 {
+			return x64.MakeInst(ops[sub%7], imm(w), mem(w))
+		}
+		return x64.MakeInst(ops[sub%7], reg(w), mem(w))
+	case 1: // unary read-modify-write
+		ops := [4]x64.Opcode{x64.INC, x64.DEC, x64.NEG, x64.NOT}
+		return x64.MakeInst(ops[sub%4], mem(fzWAll(a[1])))
+	case 2: // shifts and rotates of memory, by CL or an immediate (zero included)
+		ops := [5]x64.Opcode{x64.SHL, x64.SHR, x64.SAR, x64.ROL, x64.ROR}
+		w := fzWAll(a[1])
+		if a[1]&0x80 != 0 {
+			return x64.MakeInst(ops[sub%5], x64.R(x64.RCX, 1), mem(w))
+		}
+		return x64.MakeInst(ops[sub%5], x64.Imm(int64(a[2]>>1), w), mem(w))
+	case 3: // setcc to memory
+		return x64.MakeCCInst(x64.SETcc, fzCC(a[1]), mem(1))
+	case 4: // compares reading memory: cmp/test against it, cmp from it
+		w := fzWAll(a[1])
+		switch sub % 3 {
+		case 0:
+			if a[1]&0x80 != 0 {
+				return x64.MakeInst(x64.CMP, imm(w), mem(w))
+			}
+			return x64.MakeInst(x64.CMP, reg(w), mem(w))
+		case 1:
+			if a[1]&0x80 != 0 {
+				return x64.MakeInst(x64.TEST, imm(w), mem(w))
+			}
+			return x64.MakeInst(x64.TEST, reg(w), mem(w))
+		default:
+			return x64.MakeInst(x64.CMP, mem(w), reg(w))
+		}
+	case 5: // memory-source multiplies
+		switch sub % 4 {
+		case 0:
+			w := fzW16(a[1])
+			return x64.MakeInst(x64.IMUL, mem(w), reg(w))
+		case 1:
+			w := fzW16(a[1])
+			return x64.MakeInst(x64.IMUL3, imm(w), mem(w), reg(w))
+		case 2:
+			return x64.MakeInst(x64.MUL, mem(fzW(a[1])))
+		default:
+			return x64.MakeInst(x64.IMUL1, mem(fzW(a[1])))
+		}
+	case 6: // popcnt and sign extension from memory
+		if sub%2 == 0 {
+			w := fzW16(a[1])
+			return x64.MakeInst(x64.POPCNT, mem(w), reg(w))
+		}
+		ext := [5][2]uint8{{1, 2}, {1, 4}, {1, 8}, {2, 4}, {4, 8}}[a[1]%5]
+		return x64.MakeInst(x64.MOVSX, mem(ext[0]), reg(ext[1]))
+	default: // adc/sbb from memory
+		op := x64.ADC
+		if sub%2 != 0 {
+			op = x64.SBB
+		}
+		w := fzWAll(a[1])
+		return x64.MakeInst(op, mem(w), reg(w))
+	}
 }
 
 // DecodeFuzzCase decodes any byte string into a differential scenario (see

@@ -9,6 +9,8 @@ package testgen
 // byte (fixed-width slots make drift impossible); corpus_test.go decodes
 // every seed and asserts it still exercises the edge it is named for.
 
+import "repro/internal/x64"
+
 // Seed is one named corpus entry.
 type Seed struct {
 	Name string
@@ -436,6 +438,101 @@ func SeedCorpus() []Seed {
 				fzSlot(FzMovScalar, 2, 0, 5, 0x7f), // movb 127(rsi), dl
 			},
 			fzEdit(1, fzSlot(FzMovScalar, 2, 2, 0, 0xff)), // movl -1(rdi), eax
+		),
+	)
+
+	// Memory-operand seeds for the compiled pipeline's memory-aware
+	// handlers (FzMemOp): read-modify-write destinations resolve their
+	// address twice, as the interpreter does, so undef and sigsegv
+	// accounting on both the load and the store is what these pin.
+	undefBase := defaultFzSnap()
+	undefBase.gprIdx[7] = 0x80  // RDI: a pointer to the segment start...
+	undefBase.rdi = 0x80        // ...kept as the table value...
+	undefBase.regDef &^= 1 << 7 // ...and undefined
+	unmapped := defaultFzSnap()
+	unmapped.gprIdx[6] = fvAllOnes // RSI: far outside the segment
+	unmapped.rsi = 0x80
+	clZero := defaultFzSnap()
+	clZero.gprIdx[1] = fvZero // RCX: a zero CL shift count
+	undefCF := defaultFzSnap()
+	undefCF.flagsDef = byte(x64.AllFlags &^ x64.CF)
+	seeds = append(seeds,
+		// Every memory access goes through an undefined base register:
+		// an RMW add counts the undefined read on its load and its store.
+		seed("mem-undef-base", undefBase,
+			[][]byte{
+				fzSlot(FzMemOp, 0, 3, 0, 8),  // addq rax, 8(rdi)
+				fzSlot(FzMemOp, 6, 2, 2, 16), // popcntq 16(rdi), rcx
+				fzSlot(FzMemOp, 3, 0, 0, 24), // sete 24(rdi)
+			},
+			fzEdit(0, fzSlot(FzMemOp, 7, 3, 2, 0)), // adcq (rdi), rcx
+		),
+		// Accesses through an address no segment maps: each RMW faults on
+		// its load and again on its store.
+		seed("mem-unmapped-address", unmapped,
+			[][]byte{
+				fzSlot(FzMemOp, 1, 2, 1, 4),      // incl 4(rsi)
+				fzSlot(FzMemOp, 10, 3, 7, 0),     // shrq 3, (rsi)
+				fzSlot(FzMemOp, 15, 1, 5, 0),     // sbbw (rsi), dx
+				fzSlot(FzMemOp, 4|2<<3, 3, 1, 0), // cmpq (rsi), rax
+			},
+			fzSwap(0, 3),
+		),
+		// 1- and 2-byte memory operands: narrow RMW ALU, negation, sign
+		// extension and popcnt from memory.
+		seed("mem-narrow-widths", defaultFzSnap(),
+			[][]byte{
+				fzSlot(FzMemOp, 1<<3, 0, 2, 3),     // subb cl, 3(rdi)
+				fzSlot(FzMemOp, 3<<3, 0x81, 11, 6), // orw $0x80, 6(rsi)
+				fzSlot(FzMemOp, 1|2<<3, 0, 0, 1),   // negb 1(rdi)
+				fzSlot(FzMemOp, 6|1<<3, 1, 0, 2),   // movsbl 2(rdi), eax
+				fzSlot(FzMemOp, 6|1<<3, 3, 7, 4),   // movswl 4(rsi), ebx
+				fzSlot(FzMemOp, 6, 0, 4, 8),        // popcntw 8(rdi), dx
+			},
+			fzEdit(0, fzSlot(FzMemOp, 4<<3, 1, 2, 3)), // xorw cx, 3(rdi)
+		),
+		// Shifts of memory by CL and by immediates whose masked count is
+		// zero: the store still happens, the flags stay untouched (the
+		// setb reads the incoming CF); the edit makes CL 32, zero again
+		// after masking for the 32-bit rotate.
+		seed("mem-shift-cl-zero-count", clZero,
+			[][]byte{
+				fzSlot(FzMemOp, 2, 0x83, 0, 0),      // shlq cl, (rdi) with CL = 0
+				fzSlot(FzMemOp, 3, 4, 0, 8),         // setb 8(rdi)
+				fzSlot(FzMemOp, 2|2<<3, 1, 1, 2),    // sarw 0, 2(rsi)
+				fzSlot(FzRegLiveness, 0, 1, 0, 5),   // movb 5, cl
+				fzSlot(FzMemOp, 2|3<<3, 0x80, 0, 3), // rolb cl, 3(rdi)
+				fzSlot(FzMemOp, 2|4<<3, 0x82, 1, 4), // rorl cl, 4(rsi)
+			},
+			fzEdit(3, fzSlot(FzRegLiveness, 0, 1, 0, 32)), // movb 32, cl
+		),
+		// adc/sbb against memory with CF undefined on entry: each carry
+		// read counts; the edit defines CF first with a cmp, then the
+		// next edit undoes it.
+		seed("mem-adc-sbb-undef-cf", undefCF,
+			[][]byte{
+				fzSlot(FzMemOp, 5<<3, 3, 12, 0),   // adcq rsi, (rdi)
+				fzSlot(FzMemOp, 6<<3, 0x82, 3, 8), // sbbl $1, 8(rsi)
+				fzSlot(FzMemOp, 7, 1, 1, 16),      // adcw 16(rsi), ax
+				fzSlot(FzMemOp, 15, 0, 2, 24),     // sbbb 24(rdi), cl
+			},
+			fzEdit(0, fzSlot(FzCmpTest, 0, 0, 7, 6)), // cmpq rsi, rdi
+			fzEdit(0, fzSlot(FzMemOp, 5<<3, 3, 12, 0)),
+		),
+		// setcc to memory on flags from memory compares, between the
+		// memory-source multiplies; edits change the condition and swap
+		// a multiply in front of the compare that feeds it.
+		seed("mem-setcc", defaultFzSnap(),
+			[][]byte{
+				fzSlot(FzMemOp, 4, 0x82, 6, 4),     // cmpl $3, 4(rdi)
+				fzSlot(FzMemOp, 3, 1, 0, 12),       // setne 12(rdi)
+				fzSlot(FzMemOp, 4|1<<3, 1, 1, 2),   // testw ax, 2(rsi)
+				fzSlot(FzMemOp, 3, 6, 1, 0),        // setg (rsi)
+				fzSlot(FzMemOp, 5|2<<3, 1, 0, 8),   // mull 8(rdi)
+				fzSlot(FzMemOp, 5|1<<3, 1, 10, 16), // imull $0x80, 16(rdi), ebp
+			},
+			fzEdit(1, fzSlot(FzMemOp, 3, 4, 0, 12)), // setb 12(rdi)
+			fzSwap(0, 4),
 		),
 	)
 	return seeds

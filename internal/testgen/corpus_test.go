@@ -363,3 +363,105 @@ func TestSeedCorpusCoversMemoryAddressing(t *testing.T) {
 			fc.Snap.Regs[x64.RDI], fc.Snap.Regs[x64.RSI])
 	}
 }
+
+// TestSeedCorpusCoversMemoryOperands: the FzMemOp seeds must decode to
+// valid memory-operand shapes and carry the edges they are named for — an
+// undefined base register, an unmapped address, 1- and 2-byte widths, CL
+// and zero-count shifts of memory, adc/sbb with CF undefined, and setcc to
+// memory. The one shape outside the opcode signature table is the
+// CL-count shift of memory: real x86 that both engines model, so the
+// decoder emits it although the proposal distribution never does.
+func TestSeedCorpusCoversMemoryOperands(t *testing.T) {
+	memOps := func(fc *FuzzCase) []x64.Inst {
+		var out []x64.Inst
+		for _, in := range fc.Prog.Insts {
+			byCL := in.Opd[0].Kind == x64.KindReg && in.Opd[1].Kind == x64.KindMem
+			switch in.Op {
+			case x64.SHL, x64.SHR, x64.SAR, x64.ROL, x64.ROR:
+			default:
+				byCL = false
+			}
+			if err := in.Validate(); err != nil && !byCL {
+				t.Fatalf("%v: %v", in, err)
+			}
+			for k := uint8(0); k < in.N; k++ {
+				if in.Opd[k].Kind == x64.KindMem {
+					out = append(out, in)
+					break
+				}
+			}
+		}
+		return out
+	}
+	inSeg := func(v uint64) bool { return v >= FuzzSegBase && v < FuzzSegBase+FuzzSegSize }
+
+	fc := seedByName(t, "mem-undef-base")
+	if fc.Snap.RegDef&(1<<x64.RDI) != 0 || !inSeg(fc.Snap.Regs[x64.RDI]) {
+		t.Fatalf("undef-base seed: RDI=%#x def=%v, want an undefined pointer into the segment",
+			fc.Snap.Regs[x64.RDI], fc.Snap.RegDef&(1<<x64.RDI) != 0)
+	}
+	if in := fc.Prog.Insts[0]; in.Op != x64.ADD || in.Opd[1].Kind != x64.KindMem || in.Opd[1].Base != x64.RDI {
+		t.Fatalf("undef-base seed slot 0 = %v, want a memory-destination add off rdi", in)
+	}
+
+	fc = seedByName(t, "mem-unmapped-address")
+	if inSeg(fc.Snap.Regs[x64.RSI]) || fc.Snap.RegDef&(1<<x64.RSI) == 0 {
+		t.Fatalf("unmapped seed: RSI=%#x, want a defined address outside the segment", fc.Snap.Regs[x64.RSI])
+	}
+	if n := len(memOps(fc)); n != 4 {
+		t.Fatalf("unmapped seed has %d memory-operand slots, want 4:\n%s", n, fc.Prog)
+	}
+
+	fc = seedByName(t, "mem-narrow-widths")
+	widths := map[uint8]bool{}
+	for _, in := range memOps(fc) {
+		for k := uint8(0); k < in.N; k++ {
+			if in.Opd[k].Kind == x64.KindMem {
+				widths[in.Opd[k].Width] = true
+			}
+		}
+	}
+	if !widths[1] || !widths[2] {
+		t.Fatalf("narrow seed memory widths %v, want 1 and 2:\n%s", widths, fc.Prog)
+	}
+
+	fc = seedByName(t, "mem-shift-cl-zero-count")
+	if fc.Snap.Regs[x64.RCX] != 0 {
+		t.Fatalf("shift seed RCX = %#x, want a zero CL count", fc.Snap.Regs[x64.RCX])
+	}
+	byCL, zeroImm := 0, 0
+	for _, in := range memOps(fc) {
+		switch in.Op {
+		case x64.SHL, x64.SHR, x64.SAR, x64.ROL, x64.ROR:
+			if in.Opd[0].Kind == x64.KindReg && in.Opd[0].Reg == x64.RCX {
+				byCL++
+			} else if in.Opd[0].Imm == 0 {
+				zeroImm++
+			}
+		}
+	}
+	if byCL < 2 || zeroImm < 1 {
+		t.Fatalf("shift seed: %d CL shifts and %d zero-count shifts of memory:\n%s", byCL, zeroImm, fc.Prog)
+	}
+
+	fc = seedByName(t, "mem-adc-sbb-undef-cf")
+	if fc.Snap.FlagsDef&x64.CF != 0 {
+		t.Fatalf("adc seed: CF defined on entry")
+	}
+	for _, in := range memOps(fc) {
+		if in.Op != x64.ADC && in.Op != x64.SBB {
+			t.Fatalf("adc seed slot %v, want adc/sbb only", in)
+		}
+	}
+
+	fc = seedByName(t, "mem-setcc")
+	setcc := 0
+	for _, in := range memOps(fc) {
+		if in.Op == x64.SETcc {
+			setcc++
+		}
+	}
+	if setcc != 2 {
+		t.Fatalf("setcc seed has %d setcc-to-memory slots, want 2:\n%s", setcc, fc.Prog)
+	}
+}

@@ -52,16 +52,21 @@
 // fixed-seed runs are bit-for-bit reproducible whatever the pool width.
 //
 // Candidate scoring runs on a decode-once compiled pipeline that covers
-// the whole proposal ISA — including the fixed-point SSE subset behind
-// WithSSE and the divide family — with no interpretive fallback on the
-// tracked kernels. Candidates compile against the kernel's live-out set,
+// the whole proposal ISA — every memory-operand shape, the fixed-point
+// SSE subset behind WithSSE and the divide family included — so no
+// candidate the search proposes reaches the interpretive fallback.
+// Candidates compile against the kernel's live-out set,
 // so a backward liveness pass suppresses both the flag computation and
 // the register stores of writes nothing downstream — no condition
 // consumer, no reader before a kill, no live-out exit — can observe,
 // while preserving every read, fault and undefined-value count the cost
 // function sees. Each evaluation walks the testcases one at a time in an
 // adaptive order and stops at the first testcase that pushes the cost
-// over the rejection budget. WithBatchedEval(true) instead runs the tail
+// over the rejection budget. A proposal that leaves the program unchanged
+// (an operand or opcode redrawn to itself, a swap of identical slots) is
+// accepted at the current cost without running a testcase; the chain's
+// decisions are those of a chain that evaluates it. WithBatchedEval(true)
+// instead runs the tail
 // of each full evaluation batched: every compiled slot executes across
 // all live testcase lanes in lockstep before advancing (dispatch and
 // operand decode paid once per slot per chunk), diverging conditional
