@@ -203,25 +203,21 @@ func BenchmarkAblationEqualityMetric(b *testing.B) {
 	}
 }
 
-// evalModes are the three evaluation pipelines the throughput benchmarks
-// A/B: the seed interpreter, the decode-once compiled path, and the
-// compiled path with batched lockstep testcase sweeps.
+// evalModes are the two evaluation pipelines the throughput benchmarks
+// A/B: the seed interpreter and the decode-once compiled path.
 var evalModes = []struct {
 	name        string
 	interpreted bool
-	batched     bool
 }{
-	{"interpreted", true, false},
-	{"compiled", false, false},
-	{"batched", false, true},
+	{"interpreted", true},
+	{"compiled", false},
 }
 
 // BenchmarkEvalThroughput measures end-to-end proposals per second through
-// the evaluation pipelines — the seed interpreter (copy the candidate,
-// re-decode every instruction on every testcase), the decode-once
-// compiled path (patch the mutated slots, adaptive testcase order, pinned
-// per-testcase machines), and the batched compiled path (each slot runs
-// across all live testcases in lockstep) — on an optimization-phase chain
+// the two evaluation pipelines — the seed interpreter (copy the
+// candidate, re-decode every instruction on every testcase) and the
+// decode-once compiled path (patch the mutated slots, adaptive testcase
+// order, pinned per-testcase machines) — on an optimization-phase chain
 // (β=1, perf term on, started from the target: the regime the paper's §6
 // wall-clock is spent in) at the harness ℓ=14 and the paper's ℓ=50
 // profile, plus one synthesis-regime chain (β=0.1, random ℓ=24 start, no
@@ -251,7 +247,6 @@ func BenchmarkEvalThroughput(b *testing.B) {
 					Cost:        cost.New(tests, bench.Spec.LiveOut, cost.Improved, 1),
 					Rng:         rand.New(rand.NewSource(9)),
 					Interpreted: mode.interpreted,
-					Batched:     mode.batched,
 				}
 				b.ResetTimer()
 				res := s.Run(context.Background(), bench.Target, int64(b.N))
@@ -284,45 +279,6 @@ func BenchmarkEvalThroughput(b *testing.B) {
 	})
 }
 
-// BenchmarkEvalThroughputBatched sweeps the testcase count |τ| ∈ {1, 4,
-// 16, 64} on the p01 kernel at ℓ=50, batched against scalar compiled: the
-// batch-width scaling of the lockstep evaluator. At |τ|=1 the two paths
-// are identical (a one-testcase batch never leaves the scalar chunk);
-// the amortisation of per-slot dispatch grows with the width.
-func BenchmarkEvalThroughputBatched(b *testing.B) {
-	bench, err := kernels.ByName("p01")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, ntests := range []int{1, 4, 16, 64} {
-		tests, err := testgen.Generate(bench.Target, bench.Spec, ntests, rand.New(rand.NewSource(8)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, mode := range evalModes[1:] { // compiled and batched
-			b.Run(fmt.Sprintf("tau=%d/%s", ntests, mode.name), func(b *testing.B) {
-				params := mcmc.PaperParams
-				params.Ell = 50
-				params.Beta = 1.0
-				s := &mcmc.Sampler{
-					Params:  params,
-					Pools:   mcmc.PoolsFor(bench.Target, false),
-					Cost:    cost.New(tests, bench.Spec.LiveOut, cost.Improved, 1),
-					Rng:     rand.New(rand.NewSource(9)),
-					Batched: mode.batched,
-				}
-				b.ResetTimer()
-				res := s.Run(context.Background(), bench.Target, int64(b.N))
-				b.StopTimer()
-				if res.Best == nil {
-					b.Fatal("chain returned no program")
-				}
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "proposals/s")
-			})
-		}
-	}
-}
-
 // BenchmarkEvalThroughputSSE is the vector-kernel companion of
 // BenchmarkEvalThroughput: the saxpy kernel with SSE opcodes in the
 // proposal distribution, so the chain's candidates run the packed
@@ -349,7 +305,6 @@ func BenchmarkEvalThroughputSSE(b *testing.B) {
 				Cost:        cost.New(tests, bench.Spec.LiveOut, cost.Improved, 1),
 				Rng:         rand.New(rand.NewSource(9)),
 				Interpreted: mode.interpreted,
-				Batched:     mode.batched,
 			}
 			b.ResetTimer()
 			res := s.Run(context.Background(), bench.Target, int64(b.N))

@@ -94,11 +94,11 @@ func main() {
 		for k, v := range fresh.Speedups {
 			fmt.Printf("speedup %-12s %.2fx (within tolerance)\n", k, v)
 		}
-		for k, v := range fresh.BatchedSpeedups {
-			fmt.Printf("batched-speedup %-12s %.2fx (within tolerance)\n", k, v)
+		for k, v := range fresh.FlagFree {
+			fmt.Printf("flag-free %-12s %.0f%% (within tolerance)\n", k, 100*v)
 		}
 		for k, v := range fresh.RegFree {
-			fmt.Printf("reg-free %-12s %.0f%% (within tolerance)\n", k, 100*v)
+			fmt.Printf("reg-free  %-12s %.0f%% (within tolerance)\n", k, 100*v)
 		}
 		return
 	}

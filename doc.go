@@ -60,42 +60,20 @@
 // statically over the padded start program, reg_free dynamically over
 // the candidates the compiled chain visits).
 //
-// On top of the per-testcase compiled loop sits batched lockstep
-// evaluation (emu.Batch, cost.Fn.EvalCompiledBatched; off by default —
-// stoke.WithBatchedEval(true) opts in, since a chunk runs to its end past
-// a mid-chunk rejection and the search runs slower end to end with it).
-// Instead of re-dispatching the whole
-// program once per testcase, each compiled slot executes across every
-// live testcase lane before the batch advances, so dispatch, operand
-// decode and the flag-variant selection are paid once per slot per chunk
-// rather than once per slot per testcase. Control flow stays in lockstep
-// until a conditional jump observes lanes on both sides; the minority
-// side then peels to the scalar tail from its branch target and the
-// majority continues batched (a divide fault never splits a batch — #DE
-// continues in line, exactly as in the scalar walk). The §4.5
-// early-termination contract survives as a chunk schedule: the head of
-// the adaptive testcase order still runs one-testcase chunks (bad
-// proposals die after one run, and chunks at or below the scalar
-// crossover width run the scalar loop verbatim), while the tail of a
-// full-width evaluation runs as single lockstep sweeps; lanes are scored
-// in the same adaptive order with the same budget checks, so batched
-// evaluation is decision-identical to EvalCompiled — same results, same
-// floating-point rounding, same rejection-profile updates. The
-// original interpreter (Machine.Run, Fn.Eval) remains the semantic
-// reference behind stoke.WithInterpretedEval, pinned to the compiled path
-// by randomized differential tests and by fuzz-grade differential targets
-// (FuzzCompiledVsInterpreted, FuzzPatchVsFreshCompile and the
-// batch-splitting FuzzBatchedVsScalar in internal/emu,
-// seeded from internal/testgen's corpus generator) that hold
-// compiled == interpreted, patched == fresh-compile and batched == scalar
-// over random programs, machine states and patch sequences;
-// BenchmarkEvalThroughput(SSE), the BenchmarkEvalThroughputBatched
-// batch-width sweep (|τ| ∈ {1,4,16,64}) and the BENCH_eval.json baseline
-// emitted by cmd/stoke-bench
-// -eval-baseline track the speedup (≥3x proposals/sec at the paper's ℓ=50
-// profile on this module's hardware baseline, ~2x on the vector and
-// Montgomery rows; the batched rows record the lockstep amortisation on
-// top of that, largest in the full-width evaluation regime).
+// Each evaluation walks the testcases one at a time, in the adaptive
+// order, and stops at the first one that pushes the running cost past the
+// §4.5 acceptance bound (Equation 14); that walk is the only compiled
+// evaluation path. The original interpreter (Machine.Run, Fn.Eval, and
+// the chain loop behind mcmc.Sampler.Interpreted) remains the semantic
+// reference, pinned to the compiled path by randomized differential tests
+// and by fuzz-grade differential targets (FuzzCompiledVsInterpreted and
+// FuzzPatchVsFreshCompile in internal/emu, seeded from internal/testgen's
+// corpus generator) that hold compiled == interpreted and patched ==
+// fresh-compile over random programs, machine states and patch sequences;
+// BenchmarkEvalThroughput(SSE) and the BENCH_eval.json baseline emitted
+// by cmd/stoke-bench -eval-baseline track the speedup (≥3x proposals/sec
+// at the paper's ℓ=50 profile on this module's hardware baseline, ~2x on
+// the vector and Montgomery rows).
 //
 // # Search coordination
 //

@@ -30,18 +30,6 @@
 //     never changes the accept/reject decision — per-testcase costs are
 //     non-negative, so the running sum crosses the bound for some prefix
 //     iff the total exceeds it — only how early evaluation stops.
-//   - EvalCompiledBatched is EvalCompiled with the per-testcase runs
-//     regrouped into emu.Batch lockstep sweeps: the adaptive order is cut
-//     into geometrically growing chunks ({1, 3, 12, rest}), the leading
-//     chunks run the scalar path verbatim so a discriminating testcase
-//     still rejects a bad proposal after one or a few runs, and each later
-//     chunk executes as one batch — dispatch, operand decode, and nf
-//     selection paid once per slot instead of once per (slot, testcase).
-//     Lanes are then scored in the adaptive order with the budget checked
-//     after each, so the Result, the accept/reject decision, and the
-//     rejection-profile stream are bit-identical to EvalCompiled; the only
-//     difference is that a mid-chunk rejection has already run (but never
-//     scores) the chunk's remaining lanes.
 package cost
 
 import (
@@ -201,11 +189,6 @@ type Fn struct {
 	rejects []int64
 	evals   int
 
-	// Batched-path scratch: the lockstep evaluator and the lane slice it
-	// runs over, reused across evaluations.
-	batch   emu.Batch
-	batchMs []*emu.Machine
-
 	// memGot/memOk are scratch for memCost: the candidate's live memory
 	// bytes, resolved once per testcase so the Improved metric's rival
 	// scan is O(n) byte lookups instead of O(n²).
@@ -296,9 +279,10 @@ func (f *Fn) Eval(p *x64.Program, budget float64) Result {
 		res.TestsRun++
 		if res.Cost+res.EqCost > budget {
 			// Record the early termination on the interpreted path too:
-			// without this, stoke.WithInterpretedEval runs never feed the
-			// kernel-wide rejection profile (or this Fn's own counters),
-			// so sibling and later chains would warm-start from nothing.
+			// without this, interpreted chains (mcmc.Sampler.Interpreted)
+			// never feed the kernel-wide rejection profile (or this Fn's
+			// own counters), so sibling and later chains would warm-start
+			// from nothing.
 			f.noteReject(i)
 			res.Cost += res.EqCost
 			res.Early = true
@@ -362,99 +346,6 @@ func (f *Fn) EvalCompiled(c *emu.Compiled, budget float64) Result {
 			f.noteEval()
 			return res
 		}
-	}
-	res.Cost += res.EqCost
-	f.noteEval()
-	return res
-}
-
-// batchChunk returns the size of the evaluation chunk starting at position
-// pos of the adaptive order, clamped to the n-pos testcases left. The
-// schedule is geometric — {1, 3, 12, rest} — so the head of the order keeps
-// today's one-testcase early-exit granularity while the bulk of a full
-// evaluation runs as a single lockstep sweep.
-func batchChunk(pos, n int) int {
-	var size int
-	switch pos {
-	case 0:
-		size = 1
-	case 1:
-		size = 3
-	case 4:
-		size = 12
-	default:
-		size = n - pos
-	}
-	if size > n-pos {
-		size = n - pos
-	}
-	return size
-}
-
-// batchScalarMax is the largest chunk the batched path still runs through
-// the scalar loop: below this width the lockstep loop's per-slot lane
-// bookkeeping costs more than the dispatch it amortises.
-const batchScalarMax = 4
-
-// EvalCompiledBatched computes the cost of a compiled candidate through the
-// batched lockstep evaluator. It is decision-identical to EvalCompiled —
-// same Result (including TestsRun and floating-point rounding, because
-// lanes are scored in the same adaptive order), same rejection-profile
-// updates — but runs the tail of a full evaluation as emu.Batch sweeps, so
-// per-slot dispatch is paid once per chunk instead of once per testcase.
-func (f *Fn) EvalCompiledBatched(c *emu.Compiled, budget float64) Result {
-	var res Result
-	if f.PerfWeight != 0 {
-		res.Cost = f.PerfWeight * c.StaticLatency()
-		if res.Cost > budget {
-			res.Early = true
-			return res
-		}
-	}
-	f.ensureCompiledState()
-	n := len(f.order)
-	for pos := 0; pos < n; {
-		size := batchChunk(pos, n)
-		if size > batchScalarMax {
-			// Load and run the whole chunk in lockstep; lanes past a
-			// mid-chunk rejection have then run but are never scored.
-			lanes := f.batchMs[:0]
-			for _, ti := range f.order[pos : pos+size] {
-				m := f.ms[ti]
-				m.LoadSnapshotCached(f.Tests[ti].In)
-				lanes = append(lanes, m)
-			}
-			f.batchMs = lanes
-			outs := f.batch.Run(c, lanes)
-			for k, ti := range f.order[pos : pos+size] {
-				res.EqCost += f.score(f.ms[ti], &f.Tests[ti], outs[k])
-				res.TestsRun++
-				if res.Cost+res.EqCost > budget {
-					f.noteReject(ti)
-					res.Cost += res.EqCost
-					res.Early = true
-					f.noteEval()
-					return res
-				}
-			}
-		} else {
-			for _, ti := range f.order[pos : pos+size] {
-				tc := &f.Tests[ti]
-				m := f.ms[ti]
-				m.LoadSnapshotCached(tc.In)
-				out := m.RunCompiled(c)
-				res.EqCost += f.score(m, tc, out)
-				res.TestsRun++
-				if res.Cost+res.EqCost > budget {
-					f.noteReject(ti)
-					res.Cost += res.EqCost
-					res.Early = true
-					f.noteEval()
-					return res
-				}
-			}
-		}
-		pos += size
 	}
 	res.Cost += res.EqCost
 	f.noteEval()

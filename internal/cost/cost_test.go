@@ -139,7 +139,7 @@ func TestEarlyTermination(t *testing.T) {
 // TestInterpretedEvalFeedsSharedProfile: the interpreted path's early
 // terminations must warm the shared testcase profile (and this Fn's own
 // counters) exactly like the compiled path's, so interpreted runs
-// (stoke.WithInterpretedEval) are not invisible to sibling chains.
+// (mcmc.Sampler.Interpreted) are not invisible to sibling chains.
 func TestInterpretedEvalFeedsSharedProfile(t *testing.T) {
 	target := x64.MustParse("movq rdi, rax")
 	spec := testgen.Spec{
@@ -304,66 +304,6 @@ func TestEvalCompiledMatchesEval(t *testing.T) {
 		got := fc.EvalCompiled(fc.Compile(p), MaxBudget)
 		if want != got {
 			t.Errorf("compiled eval = %+v, interpreted = %+v for\n%s", got, want, p)
-		}
-	}
-}
-
-// TestEvalCompiledBatchedMatchesEvalCompiled pins the batched path's
-// decision identity: across testcase counts spanning the chunk boundaries,
-// budgets that reject early, mid-chunk and never, and candidates with
-// branches, faults and undefined reads, EvalCompiledBatched must produce
-// the same Result as EvalCompiled — bit for bit, including TestsRun — and
-// drive the adaptive-order counters identically.
-func TestEvalCompiledBatchedMatchesEvalCompiled(t *testing.T) {
-	target := x64.MustParse("movq rdi, rax\nimulq rsi, rax")
-	spec := compiledSpec()
-	candidates := []*x64.Program{
-		target,
-		x64.MustParse("movq rsi, rax\nimulq rdi, rax"),
-		x64.MustParse("movq rdi, rax"),
-		x64.MustParse("xorq rax, rax"),
-		x64.MustParse("movq rbx, rax"),   // undef read
-		x64.MustParse("movq (rdi), rax"), // sandbox fault on register inputs
-		// Lane-divergent control flow: the jcc outcome varies per testcase.
-		x64.MustParse("cmpq rsi, rdi\njae .L0\nmovq rsi, rax\nretq\n.L0:\nmovq rdi, rax"),
-		// Divide faults on a data-dependent subset of testcases.
-		x64.MustParse("movq rdi, rax\nxorq rdx, rdx\ndivq rsi\naddq rsi, rax"),
-	}
-	for _, ntests := range []int{1, 3, 5, 16, 33, 64} {
-		tests, err := testgen.Generate(target, spec, ntests, rand.New(rand.NewSource(int64(73+ntests))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, budget := range []float64{MaxBudget, 500, 90, 1} {
-			fs := New(tests, spec.LiveOut, Improved, 1)
-			fb := New(tests, spec.LiveOut, Improved, 1)
-			for ci, p := range candidates {
-				p = p.Clone().PadTo(14)
-				cs, cb := fs.Compile(p), fb.Compile(p)
-				// Several rounds per candidate, so the rejection counters
-				// (and eventually the order re-sorts) evolve under both
-				// paths in lockstep.
-				for round := 0; round < 3; round++ {
-					want := fs.EvalCompiled(cs, budget)
-					got := fb.EvalCompiledBatched(cb, budget)
-					if want != got {
-						t.Fatalf("|τ|=%d budget=%g candidate %d round %d: batched %+v, scalar %+v\n%s",
-							ntests, budget, ci, round, got, want, p)
-					}
-				}
-			}
-			for i := range fs.rejects {
-				if fs.rejects[i] != fb.rejects[i] {
-					t.Fatalf("|τ|=%d budget=%g: rejection counters diverged at %d: scalar %v batched %v",
-						ntests, budget, i, fs.rejects, fb.rejects)
-				}
-			}
-			for i := range fs.order {
-				if fs.order[i] != fb.order[i] {
-					t.Fatalf("|τ|=%d budget=%g: adaptive orders diverged: scalar %v batched %v",
-						ntests, budget, fs.order, fb.order)
-				}
-			}
 		}
 	}
 }

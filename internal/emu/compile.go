@@ -1125,16 +1125,9 @@ func (m *Machine) RunCompiled(c *Compiled) Outcome {
 	if len(c.ops) > m.MaxSteps {
 		return m.runCompiledBounded(c)
 	}
-	return m.runCompiledFrom(c, 0, 0)
-}
-
-// runCompiledFrom is the resumable core of RunCompiled: it executes from an
-// arbitrary slot index with an inherited step count. RunCompiled enters at
-// slot zero; Batch's lockstep loop enters here when a diverging lane peels
-// off at a conditional jump and must finish on the scalar tail with the
-// step count the lockstep prefix already accumulated.
-func (m *Machine) runCompiledFrom(c *Compiled, pc uint, steps int) Outcome {
 	var out Outcome
+	var pc uint
+	steps := 0
 	ops := c.ops
 	n := uint(len(ops))
 	// pc is unsigned and the loop condition bounds it, so the slot access

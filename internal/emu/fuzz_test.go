@@ -91,10 +91,10 @@ func FuzzPatchVsFreshCompile(f *testing.F) {
 
 // batchLanes derives a spread of per-lane snapshots from one fuzz
 // snapshot: lane 0 runs it verbatim, later lanes perturb register values,
-// input flags, and definedness, so conditional jumps split the batch,
-// divisors fault on some lanes only, and the per-lane undef accounting is
-// exercised at every split point. The memory image is shared — lanes never
-// mutate their input snapshot.
+// input flags, and definedness, so conditional jumps take different
+// successors, divisors fault on some lanes only, and stores land at
+// different addresses. The memory image is shared — lanes never mutate
+// their input snapshot.
 func batchLanes(snap *emu.Snapshot) []*emu.Snapshot {
 	lanes := make([]*emu.Snapshot, 7)
 	for i := range lanes {
@@ -114,12 +114,13 @@ func batchLanes(snap *emu.Snapshot) []*emu.Snapshot {
 	return lanes
 }
 
-// FuzzBatchedVsScalar pins the batched lockstep evaluator to the scalar
-// compiled pipeline: on every decoded program — rerun after every patch
-// edit — each lane of a Batch must finish with exactly the Outcome and
-// machine state the per-testcase RunCompiled produces from the same
-// snapshot, across divergent conditional jumps, divide faults, and the
-// peel to the scalar tail.
+// FuzzBatchedVsScalar pins the way a testcase batch is evaluated — one
+// shared compiled form, patched in place between reruns, and one long-lived
+// machine per lane reloaded with LoadSnapshotCached, as cost.EvalCompiled
+// scores a testcase set — to the scalar reference: a fresh machine, a full
+// LoadSnapshot and a fresh compile per lane. Every lane must finish with
+// the same Outcome and machine state after every patch edit, so no lane's
+// result depends on what that machine ran for an earlier program.
 func FuzzBatchedVsScalar(f *testing.F) {
 	for _, s := range testgen.SeedCorpus() {
 		f.Add(s.Data)
@@ -129,26 +130,24 @@ func FuzzBatchedVsScalar(f *testing.F) {
 		prog := fc.Prog
 		c := emu.Compile(prog)
 		snaps := batchLanes(fc.Snap)
-		var batch emu.Batch
 		lanes := make([]*emu.Machine, len(snaps))
-		refs := make([]*emu.Machine, len(snaps))
-		for i := range snaps {
-			lanes[i], refs[i] = emu.New(), emu.New()
+		for i := range lanes {
+			lanes[i] = emu.New()
 		}
 		check := func(what string) {
 			t.Helper()
+			fresh := emu.Compile(prog)
 			for i, s := range snaps {
 				lanes[i].LoadSnapshotCached(s)
-			}
-			outs := batch.Run(c, lanes)
-			for i, s := range snaps {
-				refs[i].LoadSnapshotCached(s)
-				want := refs[i].RunCompiled(c)
-				if outs[i] != want {
+				got := lanes[i].RunCompiled(c)
+				ref := emu.New()
+				ref.LoadSnapshot(s)
+				want := ref.RunCompiled(fresh)
+				if got != want {
 					t.Errorf("%s: lane %d outcomes diverged: scalar %+v batched %+v",
-						what, i, want, outs[i])
+						what, i, want, got)
 				}
-				diffStates(t, refs[i], lanes[i], s, fmt.Sprintf("%s: lane %d", what, i))
+				diffStates(t, ref, lanes[i], s, fmt.Sprintf("%s: lane %d", what, i))
 			}
 			if t.Failed() {
 				t.Fatalf("diverging program (%s):\n%s", what, prog)

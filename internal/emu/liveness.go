@@ -283,10 +283,10 @@ func (c *Compiled) patchLiveness(i int) {
 // write and the flag work together (partially-live slots stay on their
 // flag-selected variant and write the register: never suppressing is
 // always sound, and the choice is a pure function of the slot's summary
-// and live-out sets, which keeps patched, fresh, scalar and batched
-// selection identical). Flags as before: the flag-suppressed variant
-// when no written flag is live, the szp-only variant when only SF/ZF/PF
-// are, the full code otherwise. Only kind, nf and nr are ever touched —
+// and live-out sets, which keeps patched and fresh selection identical).
+// Flags as before: the flag-suppressed variant when no written flag is
+// live, the szp-only variant when only SF/ZF/PF are, the full code
+// otherwise. Only kind, nf and nr are ever touched —
 // u.run stays the full handler, which is what lets the bounded loop
 // recover all-live semantics from a copy with both bits cleared.
 func (c *Compiled) applyLiveness(i int) {

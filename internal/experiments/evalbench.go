@@ -24,7 +24,7 @@ import (
 type EvalRate struct {
 	Kernel          string  `json:"kernel"`
 	Ell             int     `json:"ell"`
-	Mode            string  `json:"mode"` // "interpreted", "compiled" or "batched"
+	Mode            string  `json:"mode"` // "interpreted" or "compiled"
 	Proposals       int64   `json:"proposals"`
 	Seconds         float64 `json:"seconds"`
 	ProposalsPerSec float64 `json:"proposals_per_sec"`
@@ -42,11 +42,6 @@ type EvalBaseline struct {
 	// Speedups maps "kernel/ell=N" to compiled-over-interpreted
 	// proposals/sec.
 	Speedups map[string]float64 `json:"speedups"`
-
-	// BatchedSpeedups maps "kernel/ell=N" to batched-over-compiled
-	// proposals/sec — the amortisation won by running each instruction
-	// slot across all live testcases in lockstep.
-	BatchedSpeedups map[string]float64 `json:"batched_speedups"`
 
 	// FlagFree maps "kernel/ell=N" to the fraction of the padded start
 	// program's flag-writing slots the compile-time liveness pass proved
@@ -95,13 +90,12 @@ var evalConfigs = []struct {
 // chain: β=1, perf term on, started from the target).
 func MeasureEvalThroughput(proposals int64) (EvalBaseline, error) {
 	base := EvalBaseline{
-		GoVersion:       runtime.Version(),
-		GOARCH:          runtime.GOARCH,
-		Date:            time.Now().UTC().Format("2006-01-02"),
-		Speedups:        map[string]float64{},
-		BatchedSpeedups: map[string]float64{},
-		FlagFree:        map[string]float64{},
-		RegFree:         map[string]float64{},
+		GoVersion: runtime.Version(),
+		GOARCH:    runtime.GOARCH,
+		Date:      time.Now().UTC().Format("2006-01-02"),
+		Speedups:  map[string]float64{},
+		FlagFree:  map[string]float64{},
+		RegFree:   map[string]float64{},
 	}
 	for _, cfg := range evalConfigs {
 		bench, err := kernels.ByName(cfg.kernel)
@@ -120,9 +114,9 @@ func MeasureEvalThroughput(proposals int64) (EvalBaseline, error) {
 		if err != nil {
 			return base, err
 		}
-		var rates [3]float64
+		var rates [2]float64
 		regFree := 1.0
-		for mi, mode := range []string{"interpreted", "compiled", "batched"} {
+		for mi, mode := range []string{"interpreted", "compiled"} {
 			params := mcmc.PaperParams
 			params.Ell = cfg.ell
 			params.Beta = 1.0
@@ -135,7 +129,6 @@ func MeasureEvalThroughput(proposals int64) (EvalBaseline, error) {
 				Cost:        cost.NewLive(tests, bench.Spec.LiveOut, cost.Improved, 1),
 				Rng:         rand.New(rand.NewSource(9)),
 				Interpreted: mi == 0,
-				Batched:     mi == 2,
 			}
 			start := time.Now()
 			res := s.Run(context.Background(), startProg, proposals)
@@ -158,7 +151,6 @@ func MeasureEvalThroughput(proposals int64) (EvalBaseline, error) {
 		}
 		key := fmt.Sprintf("%s/ell=%d", label, cfg.ell)
 		base.Speedups[key] = rates[1] / rates[0]
-		base.BatchedSpeedups[key] = rates[2] / rates[1]
 		comp := emu.Compile(startProg.PadTo(cfg.ell))
 		// Every benched kernel gets a flag_free row: a start program with no
 		// flag-writing slots (saxpy-sse) means the pass has nothing left to
@@ -174,14 +166,15 @@ func MeasureEvalThroughput(proposals int64) (EvalBaseline, error) {
 
 // EvalCheckTolerance is the fractional regression -check tolerates on each
 // tracked ratio before failing: generous enough for noisy CI boxes, tight
-// enough to catch a pipeline that lost its compiled or batched edge.
+// enough to catch a compiled pipeline that lost its edge over the
+// interpreter or a liveness pass that lost its coverage.
 const EvalCheckTolerance = 0.35
 
 // CheckEvalBaseline measures a fresh evaluation baseline and compares its
-// box-independent ratios — compiled/interpreted and batched/compiled
-// speedups, plus the flag-free and reg-free coverage fractions — against
-// the committed BENCH_eval.json at path, failing on any tracked row that
-// regressed by more than EvalCheckTolerance. Absolute proposals/sec are
+// box-independent ratios — the compiled/interpreted speedups plus the
+// flag-free and reg-free coverage fractions — against the committed
+// BENCH_eval.json at path, failing on any tracked row that regressed by
+// more than EvalCheckTolerance. Absolute proposals/sec are
 // deliberately not compared: they measure the box, not the code.
 func CheckEvalBaseline(path string, proposals int64) (EvalBaseline, error) {
 	data, err := os.ReadFile(path)
@@ -223,7 +216,6 @@ func compareEvalBaselines(committed, fresh EvalBaseline) []string {
 		}
 	}
 	check("speedup", committed.Speedups, fresh.Speedups)
-	check("batched_speedup", committed.BatchedSpeedups, fresh.BatchedSpeedups)
 	check("flag_free", committed.FlagFree, fresh.FlagFree)
 	check("reg_free", committed.RegFree, fresh.RegFree)
 	sort.Strings(failures)

@@ -12,10 +12,9 @@ import (
 
 func evalBase(speedups, regFree map[string]float64) EvalBaseline {
 	return EvalBaseline{
-		Speedups:        speedups,
-		BatchedSpeedups: map[string]float64{},
-		FlagFree:        map[string]float64{},
-		RegFree:         regFree,
+		Speedups: speedups,
+		FlagFree: map[string]float64{},
+		RegFree:  regFree,
 	}
 }
 

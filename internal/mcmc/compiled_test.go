@@ -117,27 +117,3 @@ func TestCompiledAndInterpretedChainsAgree(t *testing.T) {
 		t.Fatalf("stats diverged: interpreted %+v compiled %+v", ri.Stats, rc.Stats)
 	}
 }
-
-// TestBatchedAndCompiledChainsAgree runs the same seeded chain with and
-// without batched evaluation. The batched path is decision-identical to the
-// scalar compiled one — same Results bit for bit, same rejection-profile
-// stream — so the trajectories, the best program, and even TestsEvaluated
-// must match exactly.
-func TestBatchedAndCompiledChainsAgree(t *testing.T) {
-	target := x64.MustParse("movq rdi, rax\naddq rsi, rax")
-	spec := identitySpec()
-	run := func(batched bool) Result {
-		s := newSampler(t, target, spec, cost.Improved, 1.0, 12, 67)
-		s.Batched = batched
-		return s.Run(context.Background(), target, 20000)
-	}
-	rs := run(false)
-	rb := run(true)
-	if rs.BestCost != rb.BestCost || rs.Best.String() != rb.Best.String() {
-		t.Fatalf("paths diverged:\nscalar best (%v):\n%s\nbatched best (%v):\n%s",
-			rs.BestCost, rs.Best, rb.BestCost, rb.Best)
-	}
-	if rs.Stats != rb.Stats {
-		t.Fatalf("stats diverged: scalar %+v batched %+v", rs.Stats, rb.Stats)
-	}
-}

@@ -16,13 +16,10 @@
 // program, so the chain accepts it at the current cost without patching or
 // running a testcase, still drawing its acceptance bound so the random
 // stream and every decision match a chain that evaluates it. Setting
-// Sampler.Batched keeps that discipline but scores through
-// cost.Fn.EvalCompiledBatched, which runs the tail of each evaluation as
-// one emu.Batch lockstep sweep over all remaining testcases — same
-// decisions, less dispatch. Setting Sampler.Interpreted reverts to the seed
-// discipline (copy the ℓ-slot program and re-interpret it from scratch per
-// proposal), kept alive as the semantic reference for differential tests
-// and A/B benchmarks.
+// Sampler.Interpreted reverts to the seed discipline (copy the ℓ-slot
+// program and re-interpret it from scratch per proposal), kept as the
+// semantic reference the differential tests and the BENCH_eval.json guard
+// compare the compiled chain against.
 package mcmc
 
 import (
@@ -196,13 +193,6 @@ type Sampler struct {
 	// floating-point summation order.
 	Interpreted bool
 
-	// Batched routes the compiled pipeline's scoring through
-	// cost.Fn.EvalCompiledBatched: the tail of each evaluation runs all
-	// remaining testcases through one emu.Batch lockstep sweep instead of
-	// one machine at a time. Decision-identical to the scalar compiled
-	// path (same Results bit for bit); ignored when Interpreted is set.
-	Batched bool
-
 	// OnImprove, when set, is invoked with a clone of the best-so-far
 	// program each time the best cost drops (used to trace Figures 7/8).
 	OnImprove func(iter int64, c float64, p *x64.Program)
@@ -292,7 +282,7 @@ func (s *Sampler) Begin(start *x64.Program, proposals int64) *Run {
 		r.scratch = cur.Clone()
 	} else {
 		r.comp = s.Cost.Compile(cur)
-		r.cs = s.newChain(cur, s.evalCompiled(r.comp, cost.MaxBudget))
+		r.cs = s.newChain(cur, s.Cost.EvalCompiled(r.comp, cost.MaxBudget))
 	}
 	if r.budget <= 0 || r.cs.bestCost == 0 {
 		r.stopped = true
@@ -362,18 +352,9 @@ func (r *Run) BestCorrect() (*x64.Program, float64) {
 // evaluation path.
 func (r *Run) eval() cost.Result {
 	if r.comp != nil {
-		return r.s.evalCompiled(r.comp, cost.MaxBudget)
+		return r.s.Cost.EvalCompiled(r.comp, cost.MaxBudget)
 	}
 	return r.s.Cost.Eval(r.cur, cost.MaxBudget)
-}
-
-// evalCompiled scores a compiled candidate through the scalar or batched
-// variant of the compiled pipeline, per the Batched flag.
-func (s *Sampler) evalCompiled(c *emu.Compiled, budget float64) cost.Result {
-	if s.Batched {
-		return s.Cost.EvalCompiledBatched(c, budget)
-	}
-	return s.Cost.EvalCompiled(c, budget)
 }
 
 // Adopt replaces the current program with p (a replica-exchange swap or a
@@ -612,7 +593,7 @@ func (r *Run) stepCompiled(ctx context.Context, end int64) {
 			s.Stats.RegWritingSlots += int64(comp.RegWritingSlots())
 
 			bound := cs.bound()
-			res := s.evalCompiled(comp, bound)
+			res := s.Cost.EvalCompiled(comp, bound)
 			s.Stats.TestsEvaluated += int64(res.TestsRun)
 
 			if !res.Early && res.Cost <= bound {

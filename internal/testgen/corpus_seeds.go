@@ -258,8 +258,8 @@ func SeedCorpus() []Seed {
 
 	// Register-liveness seeds: the deadness edges of the register pass,
 	// each paired with a patch script that resurrects the dead write and
-	// kills it again, so the patched/fresh/batched selection comparison
-	// crosses both transitions.
+	// kills it again, so the patched/fresh selection comparison crosses
+	// both transitions.
 	rbpZero := defaultFzSnap()
 	rbpZero.gprIdx[5] = fvZero // RBP: the zero divisor an edit switches to
 	seeds = append(seeds,
@@ -335,20 +335,22 @@ func SeedCorpus() []Seed {
 		),
 	)
 
-	// Batched-evaluator divergence seeds. The batched fuzz target perturbs
-	// registers, flags, and definedness per lane, so these shapes make the
-	// lockstep loop split at a conditional jump, fault on a strict subset
-	// of lanes, and re-split on the peeled majority.
+	// Control-flow edge seeds (named batch-* after the lockstep evaluator
+	// they were first written for; the names stay so the checked-in corpus
+	// files keep matching). Each pins a scalar edge of the compiled
+	// pipeline against the interpreter and against a fresh compile: a jcc
+	// on partially-defined input flags, a #DE that continues in line
+	// followed by a jcc, and a jump deleted and recreated by patch edits.
 	jflags := defaultFzSnap()
 	jflags.flagsDef = 0x0a // jcc straight on a partially-defined flag word
 	de := defaultFzSnap()
 	de.gprIdx[0] = fvThree // RAX dividend
 	de.gprIdx[2] = fvZero  // RDX high half: quotient fits
-	de.gprIdx[5] = fvZero  // RBP divisor: zero except on the lane that perturbs it
+	de.gprIdx[5] = fvZero  // RBP divisor: zero, so the divide faults
 	seeds = append(seeds,
-		// The first slot branches on the input flags, which vary (in value
-		// and definedness) across lanes: an immediate two-way split plus
-		// per-lane undef accounting at the jcc itself.
+		// The first slot branches on input flags that are only partially
+		// defined, so the jcc itself reads undefined flags and must charge
+		// them exactly as the interpreter does.
 		seed("batch-jcc-on-input-flags", jflags,
 			[][]byte{
 				fzSlot(FzJcc, 0, 1),       // jcc .L1 on the input flags
@@ -356,11 +358,9 @@ func SeedCorpus() []Seed {
 				fzSlot(FzLabel, 1),
 				fzSlot(FzALU, 1, 3, 0, 7), // subq rdi, rax (join)
 			}),
-		// #DE on most lanes but not all: the divisor register is zero in
-		// the base snapshot and nonzero on the lane that perturbs RBP. The
-		// fault continues in line — the batch must NOT split — and the jcc
-		// after it reads flags that are defined (zeroed) on faulting lanes
-		// and undefined on the surviving one.
+		// #DE with a zero divisor: the fault is counted and execution
+		// continues in line, and the jcc after it reads the flags the
+		// faulting divide left behind.
 		seed("batch-divergent-de", de,
 			[][]byte{
 				fzSlot(FzDiv, 0, 5),       // divq rbp
@@ -369,23 +369,22 @@ func SeedCorpus() []Seed {
 				fzSlot(FzLabel, 2),
 				fzSlot(FzMovScalar, 3, 2, 0, 16), // movl eax, 16(rdi)
 			}),
-		// Two splits in sequence: the peel survivors rejoin at .L1 and must
-		// split again at the second jcc; edits delete and re-create the
-		// first jump so the same program runs both pure-lockstep and
-		// peeled.
+		// Two jccs in sequence, joined at .L1; the edits delete and
+		// re-create the first jump, so Patch must unlink and relink its
+		// target and the same program runs with and without the branch.
 		seed("batch-peel-resplit", defaultFzSnap(),
 			[][]byte{
 				fzSlot(FzCmpTest, 0, 0, 7, 6), // cmpq rsi, rdi
-				fzSlot(FzJcc, 0, 1),           // jcc .L1: first split
+				fzSlot(FzJcc, 0, 1),           // jcc .L1
 				fzSlot(FzALU, 0, 3, 0, 6),     // addq rsi, rax
 				fzSlot(FzLabel, 1),
 				fzSlot(FzCmpTest, 0, 0, 0, 6), // cmpq rsi, rax
-				fzSlot(FzJcc, 3, 2),           // jcc .L2: re-split after the join
+				fzSlot(FzJcc, 3, 2),           // jcc .L2 after the join
 				fzSlot(FzIncDec, 2, 3, 0),     // negq rax
 				fzSlot(FzLabel, 2),
 				fzSlot(FzCmpTest, 2, 0, 1, 3), // setcc cl
 			},
-			fzEdit(1, fzSlot(FzUnused)),    // delete the first split: lockstep to .L1
+			fzEdit(1, fzSlot(FzUnused)),    // delete the first jump: fall through to .L1
 			fzEdit(1, fzSlot(FzJcc, 0, 1)), // and re-create it
 		),
 	)

@@ -236,10 +236,10 @@ func TestSeedCorpusCoversRegLiveness(t *testing.T) {
 	}
 }
 
-// TestSeedCorpusCoversBatchDivergence: the batched-evaluator seeds must
-// decode to the lockstep edges they are named for — a branch on the input
-// flags, a lane-subset divide fault followed by a branch, and a shape that
-// re-splits the peeled side.
+// TestSeedCorpusCoversBatchDivergence: the batch-* control-flow seeds must
+// decode to the scalar edges they pin — a jcc on partially-defined input
+// flags, a #DE that continues in line followed by a jcc, and a jump that
+// the patch edits delete and recreate.
 func TestSeedCorpusCoversBatchDivergence(t *testing.T) {
 	fc := seedByName(t, "batch-jcc-on-input-flags")
 	if fc.Prog.Insts[0].Op != x64.Jcc {
@@ -255,7 +255,7 @@ func TestSeedCorpusCoversBatchDivergence(t *testing.T) {
 		t.Fatalf("batch-divergent-de decodes to:\n%s", fc.Prog)
 	}
 	if v := fc.Snap.Regs[x64.RBP]; v != 0 {
-		t.Fatalf("batch-divergent-de divisor = %#x, want 0 so the base lane faults", v)
+		t.Fatalf("batch-divergent-de divisor = %#x, want 0 so the divide faults", v)
 	}
 
 	fc = seedByName(t, "batch-peel-resplit")

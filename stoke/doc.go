@@ -65,19 +65,11 @@
 // over the rejection budget. A proposal that leaves the program unchanged
 // (an operand or opcode redrawn to itself, a swap of identical slots) is
 // accepted at the current cost without running a testcase; the chain's
-// decisions are those of a chain that evaluates it. WithBatchedEval(true)
-// instead runs the tail
-// of each full evaluation batched: every compiled slot executes across
-// all live testcase lanes in lockstep before advancing (dispatch and
-// operand decode paid once per slot per chunk), diverging conditional
-// jumps peel the minority side to the scalar tail, and accept/reject
-// decisions, costs and rejection profiles stay bit-identical to the
-// per-testcase walk — but a chunk runs to its end past a mid-chunk
-// rejection, so it is off by default. The seed interpreter survives behind
-// WithInterpretedEval as the semantic reference, held equal to the
+// decisions are those of a chain that evaluates it. The seed interpreter
+// stays in the module as the semantic reference, held equal to the
 // compiled path by randomized and fuzz-grade differential tests
-// (internal/emu's FuzzCompiledVsInterpreted, FuzzPatchVsFreshCompile and
-// FuzzBatchedVsScalar).
+// (internal/emu's FuzzCompiledVsInterpreted and FuzzPatchVsFreshCompile);
+// the engine itself always runs the compiled pipeline.
 //
 // # Verification pipeline
 //

@@ -45,9 +45,6 @@ type settings struct {
 	verify         verify.Config
 	observer       func(Event)
 	sse            *bool
-	interpreted    bool
-	batched        bool
-	regLiveness    bool
 	tempering      bool
 	ladder         []float64
 	sharedProfile  bool
@@ -80,8 +77,6 @@ func defaultSettings() settings {
 		verify:         verify.DefaultConfig,
 		tempering:      true,
 		sharedProfile:  true,
-		batched:        false,
-		regLiveness:    true,
 		cexBank:        true,
 		verifyGate:     true,
 	}
@@ -290,43 +285,6 @@ func (st *settings) betaLadder(base float64, n int) []float64 {
 		out[i] = base
 	}
 	return out
-}
-
-// WithInterpretedEval makes every search chain evaluate candidates through
-// the reference interpreter (re-decoding each instruction on every run)
-// instead of the default decode-once compiled pipeline. The two paths agree
-// on every accept/reject decision; this switch exists for differential
-// debugging and A/B benchmarking of the evaluation substrate.
-func WithInterpretedEval() Option {
-	return func(st *settings) { st.interpreted = true }
-}
-
-// WithBatchedEval toggles batched lockstep evaluation on the compiled
-// pipeline (default off): the tail of each candidate evaluation runs all
-// remaining testcases through one emu.Batch sweep — dispatch and operand
-// decode paid once per instruction slot instead of once per (slot,
-// testcase) — with diverging testcases peeling off to the scalar path at
-// conditional jumps. Decision-identical to the scalar compiled pipeline,
-// but slower end to end: a batch runs its whole chunk even when a
-// testcase mid-chunk already pushed the candidate over its rejection
-// budget, work the per-testcase walk skips. Pass true to A/B against the
-// default. Ignored under WithInterpretedEval.
-func WithBatchedEval(enabled bool) Option {
-	return func(st *settings) { st.batched = enabled }
-}
-
-// WithRegLiveness toggles register-liveness write suppression on the
-// compiled pipeline (default on): every chain's cost function threads the
-// kernel's live-out register sets into the compiled form, so candidate
-// writes to GPRs and XMM registers the kernel cannot observe are
-// suppressed (reads, flags, faults and undefined-read accounting are
-// unchanged). Accept/reject decisions on correct rewrites are identical;
-// the Improved metric's heuristic misplacement credit may differ on
-// incorrect intermediates because its rival scan reads non-live registers.
-// Pass false to A/B the search trajectory against the unsuppressed
-// pipeline. Ignored under WithInterpretedEval.
-func WithRegLiveness(enabled bool) Option {
-	return func(st *settings) { st.regLiveness = enabled }
 }
 
 // WithSSE forces vector opcodes on or off in the proposal distribution,

@@ -100,16 +100,11 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 	newCost := func(perfWeight float64) *cost.Fn {
 		// The three-index slice keeps each chain's AddTest append from
 		// sharing growth room with its siblings or with the run's own
-		// refinement appends. Under register liveness the compiled pipeline
-		// suppresses candidate writes to registers outside the kernel's
-		// live-out set.
+		// refinement appends. Candidates compile against the kernel's
+		// live-out set, so register liveness suppresses their writes to
+		// registers outside it.
 		ts := tests[:len(tests):len(tests)]
-		var f *cost.Fn
-		if st.regLiveness && !st.interpreted {
-			f = cost.NewLive(ts, k.Spec.LiveOut, cost.Improved, perfWeight)
-		} else {
-			f = cost.New(ts, k.Spec.LiveOut, cost.Improved, perfWeight)
-		}
+		f := cost.NewLive(ts, k.Spec.LiveOut, cost.Improved, perfWeight)
 		f.Shared = prof
 		return f
 	}
@@ -141,12 +136,10 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 		params.Ell = st.ell
 		params.Beta = synthLadder[i]
 		s := &mcmc.Sampler{
-			Params:      params,
-			Pools:       pools,
-			Cost:        newCost(0),
-			Rng:         rand.New(rand.NewSource(st.seed + 1000 + int64(i))),
-			Interpreted: st.interpreted,
-			Batched:     st.batched,
+			Params: params,
+			Pools:  pools,
+			Cost:   newCost(0),
+			Rng:    rand.New(rand.NewSource(st.seed + 1000 + int64(i))),
 		}
 		s.OnImprove = func(iter int64, c float64, p *x64.Program) {
 			e.emit(&st, Event{Kind: EventChainImproved, Kernel: k.Name,
@@ -342,8 +335,6 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 				Cost:         newCost(1),
 				Rng:          rand.New(rand.NewSource(chainSeed + int64(i))),
 				RestartAfter: st.restartAfter,
-				Interpreted:  st.interpreted,
-				Batched:      st.batched,
 			}
 			s.OnImprove = func(iter int64, c float64, p *x64.Program) {
 				e.emit(&st, Event{Kind: EventChainImproved, Kernel: k.Name,
