@@ -353,9 +353,10 @@ func BenchmarkPatchLiveness(b *testing.B) {
 
 // BenchmarkGenerate measures testcase generation for p01 at the default
 // 32 testcases: sampling each input, running the target under
-// instrumentation, and deriving the sandbox and live outputs. A served
-// store hit generates a fresh set before it revalidates, so this is the
-// bulk of a hit's cost.
+// instrumentation, and narrowing the input's sandbox plane in place to the
+// traced bytes, one word at a time. A served store hit generates a fresh
+// set before it revalidates, so this is over half of a hit's cost
+// (allocations are bounded by TestGenerateAllocs).
 func BenchmarkGenerate(b *testing.B) {
 	bench, err := kernels.ByName("p01")
 	if err != nil {
@@ -372,8 +373,8 @@ func BenchmarkGenerate(b *testing.B) {
 
 // BenchmarkCacheHit measures one served store hit in process: a
 // cache-only Optimize of p01 against a store that one optimization-only
-// search has filled (fingerprinting, lookup, testcase generation and
-// revalidation, no search).
+// search has filled (testcase generation, fingerprinting, lookup and
+// revalidation; no search, so no proposal pools either).
 func BenchmarkCacheHit(b *testing.B) {
 	bench, err := kernels.ByName("p01")
 	if err != nil {

@@ -9,6 +9,7 @@ package emu_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/emu"
@@ -42,16 +43,15 @@ func randomSnapshot(rng *rand.Rand) *emu.Snapshot {
 	s.FlagsDef = x64.FlagSet(rng.Intn(32))
 
 	const size = 128
-	im := emu.MemImage{
-		Base:  segBase,
-		Data:  make([]byte, size),
-		Def:   make([]bool, size),
-		Valid: make([]bool, size),
-	}
+	im := emu.NewMemImage(segBase, size)
 	for i := 0; i < size; i++ {
 		im.Data[i] = byte(rng.Intn(256))
-		im.Def[i] = rng.Intn(8) != 0
-		im.Valid[i] = rng.Intn(8) != 0
+		if rng.Intn(8) != 0 {
+			im.Def.Set(i)
+		}
+		if rng.Intn(8) != 0 {
+			im.Valid.Set(i)
+		}
 	}
 	s.Mem = []emu.MemImage{im}
 
@@ -309,5 +309,68 @@ func TestLoadSnapshotCachedIsExact(t *testing.T) {
 			t.Fatalf("iteration %d: cached reload diverged: %+v vs %+v", i, oc, of)
 		}
 		diffStates(t, full, cached, snap, "cached reload")
+	}
+}
+
+// TestExecutionNeverWritesSnapshotPlanes pins the aliasing contract of
+// LoadSnapshot: a machine copies a segment's bytes and Def words but
+// shares the image's Valid plane and restores from its Def plane, so no
+// execution may write either. Full-width stores, narrow merge stores, a
+// read-modify-write of undefined bytes, a vector store and faulting
+// accesses run through both engines; the image must come out
+// byte-identical, and a cached reload must restore the bytes and their
+// definedness the stores changed.
+func TestExecutionNeverWritesSnapshotPlanes(t *testing.T) {
+	const size = 128
+	im := emu.NewMemImage(segBase, size)
+	for i := range im.Data {
+		im.Data[i] = byte(i * 7)
+	}
+	im.Def.SetRange(0, 64)
+	im.Valid.SetRange(0, 96) // [96,128) lies outside the sandbox
+	snap := &emu.Snapshot{RegDef: 1<<x64.RAX | 1<<x64.RDI, XmmDef: 1, FlagsDef: x64.AllFlags}
+	snap.Regs[x64.RAX] = 0x1122334455667788
+	snap.Regs[x64.RDI] = segBase
+	snap.Xmm[0] = [2]uint64{^uint64(0), 0x0123456789abcdef}
+	snap.Mem = []emu.MemImage{im}
+	pristine := snap.Clone()
+
+	p := x64.MustParse(`
+  movq rax, (rdi)
+  movq rax, 64(rdi)
+  movb al, 72(rdi)
+  movw ax, 80(rdi)
+  addb 1, 88(rdi)
+  movups xmm0, 32(rdi)
+  movl eax, 100(rdi)
+  movq 0x5000(rdi), rcx
+`)
+	c := emu.Compile(p)
+	engines := map[string]func(*emu.Machine) emu.Outcome{
+		"interpreted": func(m *emu.Machine) emu.Outcome { return m.Run(p) },
+		"compiled":    func(m *emu.Machine) emu.Outcome { return m.RunCompiled(c) },
+	}
+	for name, run := range engines {
+		m := emu.New()
+		m.LoadSnapshot(snap)
+		for round := 0; round < 2; round++ {
+			if out := run(m); out.SigSegv != 2 || out.Undef == 0 {
+				t.Fatalf("%s round %d: want two faults and an undefined read: %+v", name, round, out)
+			}
+			if _, def, _ := m.MemByte(segBase + 64); !def {
+				t.Fatalf("%s round %d: store left byte 64 undefined", name, round)
+			}
+			if !reflect.DeepEqual(snap.Mem, pristine.Mem) {
+				t.Fatalf("%s round %d: execution wrote the snapshot's image", name, round)
+			}
+			m.LoadSnapshotCached(snap)
+			for i := range im.Data {
+				b, def, ok := m.MemByte(segBase + uint64(i))
+				if !ok || b != im.Data[i] || def != im.Def.Has(i) {
+					t.Fatalf("%s round %d: byte %d reloads as (%#x, def %v), image holds (%#x, def %v)",
+						name, round, i, b, def, im.Data[i], im.Def.Has(i))
+				}
+			}
+		}
 	}
 }

@@ -37,33 +37,72 @@
 // final values and definedness of non-live registers may then differ from
 // a full run, while every cost observable — live-out state, memory, flags
 // at reads, the error counters — is preserved.
+//
+// A testcase's memory is a list of MemImage segments whose definedness and
+// sandbox planes are bitsets in the machine's own layout, so a snapshot
+// load copies bytes and definedness words and shares the sandbox plane,
+// and a reload of the same snapshot restores only the bytes stores
+// dirtied. Execution never writes a snapshot.
 package emu
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"unsafe"
 
 	"repro/internal/x64"
 )
 
 // MemImage describes one contiguous memory segment of a testcase: its
 // contents, which bytes hold defined data, and which bytes are inside the
-// sandbox (dereferenceable because the target dereferenced them).
+// sandbox (dereferenceable because the target dereferenced them). Def and
+// Valid are bitsets in the machine's own layout (bit i covers byte Base+i,
+// padded to bitWords(len(Data)) words): a snapshot load copies Def and
+// shares both planes, Valid as the segment's sandbox and Def as the source
+// cached reloads restore from. Build images with NewMemImage.
 type MemImage struct {
 	Base  uint64
 	Data  []byte
-	Def   []bool
-	Valid []bool
+	Def   Bits
+	Valid Bits
 }
+
+// Bits is one per-byte plane of a MemImage.
+type Bits []uint64
+
+// NewMemImage returns a zeroed size-byte image at base whose bytes are all
+// undefined and outside the sandbox.
+func NewMemImage(base uint64, size int) MemImage {
+	w := bitWords(size)
+	planes := make(Bits, 2*w)
+	return MemImage{Base: base, Data: make([]byte, size), Def: planes[:w:w], Valid: planes[w:]}
+}
+
+// Set sets bit i.
+func (b Bits) Set(i int) { b[i/64] |= 1 << (i % 64) }
+
+// SetRange sets bits [lo, hi), whole words at a time where it can.
+func (b Bits) SetRange(lo, hi int) {
+	for ; lo < hi && lo%64 != 0; lo++ {
+		b.Set(lo)
+	}
+	for ; lo+64 <= hi; lo += 64 {
+		b[lo/64] = ^uint64(0)
+	}
+	for ; lo < hi; lo++ {
+		b.Set(lo)
+	}
+}
+
+// Has reports whether bit i is set.
+func (b Bits) Has(i int) bool { return b[i/64]>>(i%64)&1 == 1 }
 
 // Clone returns a deep copy of the image.
 func (im MemImage) Clone() MemImage {
 	out := MemImage{Base: im.Base}
 	out.Data = append([]byte(nil), im.Data...)
-	out.Def = append([]bool(nil), im.Def...)
-	out.Valid = append([]bool(nil), im.Valid...)
+	out.Def = append(Bits(nil), im.Def...)
+	out.Valid = append(Bits(nil), im.Valid...)
 	return out
 }
 
@@ -96,59 +135,21 @@ func (s *Snapshot) Clone() *Snapshot {
 // byte loops — the sandbox accounting was the hottest path of the
 // memory-bound kernels. dirtyLo/dirtyHi bound the bytes stores have touched
 // since the last snapshot load (empty when dirtyHi <= dirtyLo), so a cached
-// reload restores only that range; valid is never mutated by execution and
-// needs no restore at all. snapDef caches the snapshot's definedness bits so
-// the dirty-range restore is a word copy.
+// reload restores only that range from the snapshot's Def plane; valid
+// aliases the snapshot's Valid plane, which execution never writes, and
+// needs no restore at all.
 type segment struct {
 	base    uint64
 	data    []byte
 	def     []uint64
 	valid   []uint64
-	snapDef []uint64
 	dirtyLo int
 	dirtyHi int
-}
-
-// packedMem is the bitset form of one MemImage's definedness and validity
-// planes. Cached per snapshot: valid never mutates during execution, and
-// def serves as the pristine image dirty-range restores copy from.
-type packedMem struct {
-	def   []uint64
-	valid []uint64
 }
 
 // bitWords returns the bitset length for n bytes, padded by one word so
 // two-word extractions near the end never bounds-check out.
 func bitWords(n int) int { return n/64 + 2 }
-
-// packBools fills a bitset from a []bool (snapshot images keep the
-// friendly representation; the machine runs on bits). Every fresh snapshot
-// load packs two planes per segment, so it packs eight bools per step: a
-// Go bool is one byte holding 0 or 1, so eight of them read as a word with
-// one bit per byte, and pack8 moves those bits into one byte.
-func packBools(dst []uint64, src []bool) {
-	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(src))), len(src))
-	full := len(b) / 64
-	for w := 0; w < full; w++ {
-		c := b[w*64 : w*64+64]
-		dst[w] = pack8(c[0:]) | pack8(c[8:])<<8 | pack8(c[16:])<<16 | pack8(c[24:])<<24 |
-			pack8(c[32:])<<32 | pack8(c[40:])<<40 | pack8(c[48:])<<48 | pack8(c[56:])<<56
-	}
-	for w := full; w < len(dst); w++ {
-		var v uint64
-		for i := w * 64; i < min(w*64+64, len(b)); i++ {
-			v |= uint64(b[i]) << (i - w*64)
-		}
-		dst[w] = v
-	}
-}
-
-// pack8 gathers bit 0 of each of the eight bytes at b[0:8] into one byte:
-// multiplying by 0x0102040810204080 moves byte j's bit to bit 56+j, and
-// no two partial products land on the same bit, so nothing carries.
-func pack8(b []byte) uint64 {
-	return binary.LittleEndian.Uint64(b) * 0x0102040810204080 >> 56
-}
 
 // allSet reports whether bits [off, off+n) are all one (n <= 48).
 func allSet(bits []uint64, off uint64, n int) bool {
@@ -226,13 +227,6 @@ type Machine struct {
 	// segCache is the index of the segment the last dereference hit.
 	segCache int
 
-	// packed caches the bitset form of each snapshot's Def/Valid planes,
-	// keyed by snapshot identity, so a full reload packs each image once
-	// per machine instead of once per load. Snapshot memory planes must
-	// be stable across loads on one machine (testcase snapshots are; the
-	// caller contract of LoadSnapshotCached already demands it).
-	packed map[*Snapshot][]packedMem
-
 	// xmmRestores counts individual XMM register restores performed by
 	// LoadSnapshotCached over the machine's lifetime — a white-box
 	// diagnostic for the dirty-tracking regression tests.
@@ -260,13 +254,21 @@ type Trace struct {
 // NewTrace returns an empty trace.
 func NewTrace() *Trace { return &Trace{} }
 
-// reset gives the trace one cleared bitset pair per segment.
+// reset gives the trace one cleared bitset pair per segment, reusing the
+// bitsets of the last run when the segment shapes match.
 func (t *Trace) reset(segs []segment) {
-	t.Reads = make([][]uint64, len(segs))
-	t.Writes = make([][]uint64, len(segs))
+	if len(t.Reads) != len(segs) {
+		t.Reads = make([][]uint64, len(segs))
+		t.Writes = make([][]uint64, len(segs))
+	}
 	for i := range segs {
-		t.Reads[i] = make([]uint64, bitWords(len(segs[i].data)))
-		t.Writes[i] = make([]uint64, bitWords(len(segs[i].data)))
+		if w := bitWords(len(segs[i].data)); len(t.Reads[i]) != w {
+			t.Reads[i] = make([]uint64, w)
+			t.Writes[i] = make([]uint64, w)
+			continue
+		}
+		clear(t.Reads[i])
+		clear(t.Writes[i])
 	}
 }
 
@@ -285,7 +287,8 @@ func New() *Machine {
 
 // LoadSnapshot resets the machine to the given initial state, reusing
 // existing segment storage when shapes match (the hot path re-runs the same
-// testcases millions of times).
+// testcases millions of times). Each segment copies the image's bytes and
+// Def words and aliases its Valid plane; execution writes neither plane.
 func (m *Machine) LoadSnapshot(s *Snapshot) {
 	m.Regs = s.Regs
 	m.RegDef = s.RegDef
@@ -298,33 +301,22 @@ func (m *Machine) LoadSnapshot(s *Snapshot) {
 	if len(m.segs) != len(s.Mem) {
 		m.segs = make([]segment, len(s.Mem))
 	}
-	if m.packed == nil {
-		m.packed = make(map[*Snapshot][]packedMem)
-	}
-	pm, ok := m.packed[s]
-	if !ok {
-		pm = make([]packedMem, len(s.Mem))
-		for i := range s.Mem {
-			im := &s.Mem[i]
-			w := bitWords(len(im.Data))
-			pm[i] = packedMem{def: make([]uint64, w), valid: make([]uint64, w)}
-			packBools(pm[i].def, im.Def)
-			packBools(pm[i].valid, im.Valid)
-		}
-		m.packed[s] = pm
-	}
 	for i := range s.Mem {
 		im := &s.Mem[i]
+		w := bitWords(len(im.Data))
+		if len(im.Def) != w || len(im.Valid) != w {
+			panic(fmt.Sprintf("emu: segment %d has %d/%d plane words, want %d (build images with NewMemImage)",
+				i, len(im.Def), len(im.Valid), w))
+		}
 		sg := &m.segs[i]
 		if sg.base != im.Base || len(sg.data) != len(im.Data) {
 			sg.base = im.Base
 			sg.data = make([]byte, len(im.Data))
-			sg.def = make([]uint64, bitWords(len(im.Data)))
+			sg.def = make([]uint64, w)
 		}
 		copy(sg.data, im.Data)
-		sg.valid = pm[i].valid // shared: execution never mutates validity
-		sg.snapDef = pm[i].def
-		copy(sg.def, pm[i].def)
+		copy(sg.def, im.Def)
+		sg.valid = im.Valid
 		sg.dirtyLo, sg.dirtyHi = len(sg.data), 0
 	}
 	m.lastSnap = s
@@ -337,11 +329,11 @@ func (m *Machine) LoadSnapshot(s *Snapshot) {
 }
 
 // LoadSnapshotCached is LoadSnapshot for a machine pinned to one testcase:
-// when s is the snapshot loaded last time and no store has dirtied the
-// segments since, only registers, flags and fault counters are restored
-// (and the XMM file only if an XMM write dirtied it). The caller must
-// treat a snapshot's contents as immutable while reusing it this way
-// (testcase snapshots are).
+// when s is the snapshot loaded last time, only registers, flags and fault
+// counters are restored (and the XMM file only if an XMM write dirtied
+// it), plus the byte range stores dirtied, copied back from the image's
+// Data and Def. The caller must treat a snapshot's contents as immutable
+// while reusing it this way (testcase snapshots are).
 func (m *Machine) LoadSnapshotCached(s *Snapshot) {
 	if m.lastSnap != s {
 		m.LoadSnapshot(s)
@@ -356,7 +348,7 @@ func (m *Machine) LoadSnapshotCached(s *Snapshot) {
 			im := &s.Mem[i]
 			copy(sg.data[sg.dirtyLo:sg.dirtyHi], im.Data[sg.dirtyLo:sg.dirtyHi])
 			lo, hi := sg.dirtyLo/64, sg.dirtyHi/64+1
-			copy(sg.def[lo:hi], sg.snapDef[lo:hi])
+			copy(sg.def[lo:hi], im.Def[lo:hi])
 			sg.dirtyLo, sg.dirtyHi = len(sg.data), 0
 		}
 		m.memDirty = false

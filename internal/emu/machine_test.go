@@ -280,12 +280,11 @@ func TestBitOps(t *testing.T) {
 
 func TestMemorySandbox(t *testing.T) {
 	s := snapshotWithRegs(map[x64.Reg]uint64{x64.RDI: 0x1000})
-	s.Mem = []MemImage{{
-		Base:  0x1000,
-		Data:  []byte{1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 0, 0, 0, 0, 0, 0},
-		Def:   []bool{true, true, true, true, true, true, true, true, false, false, false, false, false, false, false, false},
-		Valid: []bool{true, true, true, true, true, true, true, true, true, true, true, true, true, true, true, true},
-	}}
+	im := NewMemImage(0x1000, 16)
+	copy(im.Data, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	im.Def.SetRange(0, 8)
+	im.Valid.SetRange(0, 16)
+	s.Mem = []MemImage{im}
 
 	m, out := run(t, "movq (rdi), rax", s)
 	if out.SigSegv != 0 || m.Regs[x64.RAX] != 0x0807060504030201 {
@@ -354,12 +353,8 @@ func TestForwardJump(t *testing.T) {
 
 func TestPushPop(t *testing.T) {
 	s := snapshotWithRegs(map[x64.Reg]uint64{x64.RSP: 0x2040, x64.RAX: 42})
-	stack := MemImage{Base: 0x2000, Data: make([]byte, 64)}
-	stack.Def = make([]bool, 64)
-	stack.Valid = make([]bool, 64)
-	for i := range stack.Valid {
-		stack.Valid[i] = true
-	}
+	stack := NewMemImage(0x2000, 64)
+	stack.Valid.SetRange(0, 64)
 	s.Mem = []MemImage{stack}
 	m, out := run(t, `
   pushq rax
@@ -500,14 +495,13 @@ func TestSSESaxpyRewrite(t *testing.T) {
 	a := int32(rng.Uint32())
 
 	mkImage := func(base uint64, vals []int32) MemImage {
-		im := MemImage{Base: base, Data: make([]byte, 16),
-			Def: make([]bool, 16), Valid: make([]bool, 16)}
+		im := NewMemImage(base, 16)
 		for i, v := range vals {
 			u := uint32(v)
 			for b := 0; b < 4; b++ {
 				im.Data[i*4+b] = byte(u >> (8 * b))
-				im.Def[i*4+b] = true
-				im.Valid[i*4+b] = true
+				im.Def.Set(i*4 + b)
+				im.Valid.Set(i*4 + b)
 			}
 		}
 		return im

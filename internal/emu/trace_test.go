@@ -8,39 +8,39 @@ import (
 	"repro/internal/x64"
 )
 
-// TestPackBoolsMatchesPerBool pins the eight-bools-per-step packing to the
-// one-bool-at-a-time definition, across lengths that end mid-word and
-// mid-byte, over a destination holding stale bits.
-func TestPackBoolsMatchesPerBool(t *testing.T) {
+// TestBitsSetRangeMatchesPerBit pins the word-at-a-time SetRange to the
+// one-bit-at-a-time definition (Set), across ranges that start and end
+// mid-word and span several words, over a plane holding stale bits; Has
+// reads back exactly the bits set.
+func TestBitsSetRangeMatchesPerBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for n := 0; n <= 260; n++ {
-		src := make([]bool, n)
-		for i := range src {
-			src[i] = rng.Intn(3) == 0
-		}
-		got := make([]uint64, bitWords(n))
+		lo := rng.Intn(n + 1)
+		hi := lo + rng.Intn(n-lo+1)
+		got := make(Bits, bitWords(n))
 		for i := range got {
-			got[i] = rng.Uint64()
+			got[i] = rng.Uint64() & rng.Uint64()
 		}
-		packBools(got, src)
-		want := make([]uint64, bitWords(n))
-		for i, ok := range src {
-			if ok {
-				want[i/64] |= 1 << (i % 64)
-			}
+		want := append(Bits(nil), got...)
+		got.SetRange(lo, hi)
+		for i := lo; i < hi; i++ {
+			want.Set(i)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("n=%d: packed %x, want %x", n, got, want)
+			t.Fatalf("n=%d [%d,%d): set %x, want %x", n, lo, hi, got, want)
+		}
+		for i := lo; i < hi; i++ {
+			if !got.Has(i) {
+				t.Fatalf("n=%d [%d,%d): bit %d not set", n, lo, hi, i)
+			}
 		}
 	}
 }
 
 func traceSegment(base uint64, size int) MemImage {
-	im := MemImage{Base: base, Data: make([]byte, size), Def: make([]bool, size), Valid: make([]bool, size)}
-	for i := range im.Valid {
-		im.Def[i] = true
-		im.Valid[i] = true
-	}
+	im := NewMemImage(base, size)
+	im.Def.SetRange(0, size)
+	im.Valid.SetRange(0, size)
 	return im
 }
 

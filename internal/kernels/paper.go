@@ -270,14 +270,11 @@ func listSpec() testgen.Spec {
 			// it), while the scratch stack below it is dead on exit.
 			const sp = 0x300200
 			mkSeg := func(base uint64, size int, defined bool) emu.MemImage {
-				im := emu.MemImage{Base: base,
-					Data:  make([]byte, size),
-					Def:   make([]bool, size),
-					Valid: make([]bool, size)}
-				for i := 0; i < size; i++ {
-					im.Def[i] = defined
-					im.Valid[i] = true
+				im := emu.NewMemImage(base, size)
+				if defined {
+					im.Def.SetRange(0, size)
 				}
+				im.Valid.SetRange(0, size)
 				return im
 			}
 			scratch := mkSeg(sp-256, 248, false) // [sp-256, sp-8)

@@ -433,16 +433,15 @@ func DecodeFuzzCase(data []byte) *FuzzCase {
 	s.FlagsDef = x64.FlagSet(c.byte() % 32)
 
 	seed, defMask, validMask := c.byte(), c.byte(), c.byte()
-	im := emu.MemImage{
-		Base:  FuzzSegBase,
-		Data:  make([]byte, FuzzSegSize),
-		Def:   make([]bool, FuzzSegSize),
-		Valid: make([]bool, FuzzSegSize),
-	}
+	im := emu.NewMemImage(FuzzSegBase, FuzzSegSize)
 	for i := 0; i < FuzzSegSize; i++ {
 		im.Data[i] = seed ^ byte(i*13)
-		im.Def[i] = defMask>>(i%8)&1 == 1
-		im.Valid[i] = validMask>>(i%8)&1 == 1
+		if defMask>>(i%8)&1 == 1 {
+			im.Def.Set(i)
+		}
+		if validMask>>(i%8)&1 == 1 {
+			im.Valid.Set(i)
+		}
 	}
 	s.Mem = []emu.MemImage{im}
 

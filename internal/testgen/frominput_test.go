@@ -42,9 +42,12 @@ func referenceFromInput(target *x64.Program, spec testgen.Spec, in *emu.Snapshot
 	tc := testgen.Testcase{In: in.Clone()}
 	for si := range tc.In.Mem {
 		im := &tc.In.Mem[si]
-		for i := range im.Valid {
+		clear(im.Valid)
+		for i := range im.Data {
 			addr := im.Base + uint64(i)
-			im.Valid[i] = touched(trace.Reads, addr) || touched(trace.Writes, addr)
+			if touched(trace.Reads, addr) || touched(trace.Writes, addr) {
+				im.Valid.Set(i)
+			}
 		}
 	}
 	for _, lr := range spec.LiveOut.GPRs {
@@ -91,12 +94,12 @@ func checkSandboxWithoutTrace(t *testing.T, name string, target *x64.Program, sp
 	}
 
 	for si := range tc.In.Mem {
-		for i, ok := range tc.In.Mem[si].Valid {
-			if !ok {
+		for i := range tc.In.Mem[si].Data {
+			if !tc.In.Mem[si].Valid.Has(i) {
 				continue
 			}
 			narrowed := tc.In.Clone()
-			narrowed.Mem[si].Valid[i] = false
+			narrowed.Mem[si].Valid[i/64] &^= 1 << (i % 64)
 			m.LoadSnapshot(narrowed)
 			if out := m.Run(target); out.SigSegv == 0 {
 				t.Fatalf("%s: byte %#x is in the sandbox but the target never touches it",
@@ -157,7 +160,7 @@ func TestFromInputMatchesPerByteOracle(t *testing.T) {
 					in := b.Spec.BuildInput(rng)
 					testgen.FillUndefined(in, rng)
 					want, ok := referenceFromInput(target, b.Spec, in)
-					got, err := testgen.FromInput(m, target, b.Spec, in)
+					got, err := testgen.FromInput(m, target, b.Spec, in.Clone())
 					if ok != (err == nil) {
 						t.Fatalf("%s seed %d input %d: FromInput err %v, oracle ok %v", name, seed, n, err, ok)
 					}
@@ -211,7 +214,7 @@ func TestFromInputTwoSegments(t *testing.T) {
 	for n := 0; n < 3; n++ {
 		in := spec.BuildInput(rng)
 		testgen.FillUndefined(in, rng)
-		got, err := testgen.FromInput(nil, target, spec, in)
+		got, err := testgen.FromInput(nil, target, spec, in.Clone())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,8 +226,8 @@ func TestFromInputTwoSegments(t *testing.T) {
 
 		arr := got.In.Mem[1]
 		var valid []int
-		for i, ok := range arr.Valid {
-			if ok {
+		for i := range arr.Data {
+			if arr.Valid.Has(i) {
 				valid = append(valid, i)
 			}
 		}
@@ -246,8 +249,8 @@ func TestFromInputTwoSegments(t *testing.T) {
 		}
 		stack := got.In.Mem[0]
 		sp := int(in.Regs[x64.RSP] - stack.Base)
-		for i, ok := range stack.Valid {
-			if ok != (i >= sp-8 && i < sp) {
+		for i := range stack.Data {
+			if ok := stack.Valid.Has(i); ok != (i >= sp-8 && i < sp) {
 				t.Fatalf("stack byte %d: valid %v", i, ok)
 			}
 		}

@@ -86,11 +86,11 @@ type Testcase struct {
 // generates 32 testcases per target by default).
 func Generate(target *x64.Program, spec Spec, n int, rng *rand.Rand) ([]Testcase, error) {
 	tcs := make([]Testcase, 0, n)
-	m := emu.New()
+	m, trace := emu.New(), emu.NewTrace()
 	for len(tcs) < n {
 		in := spec.BuildInput(rng)
 		FillUndefined(in, rng)
-		tc, err := FromInput(m, target, spec, in)
+		tc, err := fromInput(m, trace, target, spec, in)
 		if err != nil {
 			return nil, err
 		}
@@ -125,11 +125,20 @@ func FillUndefined(s *emu.Snapshot, rng *rand.Rand) {
 // counterexamples are folded back into the testcase set (§4.1: "failed
 // computations of eq(·) will produce a counterexample testcase that may be
 // used to refine τ").
+//
+// FromInput takes ownership of in: the testcase's input is in itself, with
+// each segment's Valid plane narrowed in place. Callers that need the
+// original input afterwards must pass a clone.
 func FromInput(m *emu.Machine, target *x64.Program, spec Spec, in *emu.Snapshot) (Testcase, error) {
 	if m == nil {
 		m = emu.New()
 	}
-	trace := emu.NewTrace()
+	return fromInput(m, emu.NewTrace(), target, spec, in)
+}
+
+// fromInput is FromInput recording into a caller-owned trace, so Generate
+// reuses one trace's bitsets across its inputs.
+func fromInput(m *emu.Machine, trace *emu.Trace, target *x64.Program, spec Spec, in *emu.Snapshot) (Testcase, error) {
 	m.LoadSnapshot(in)
 	m.SetTrace(trace)
 	out := m.Run(target)
@@ -140,8 +149,15 @@ func FromInput(m *emu.Machine, target *x64.Program, spec Spec, in *emu.Snapshot)
 
 	// The sandbox for rewrites is exactly the set of addresses the target
 	// dereferenced (§5.1). The run did not fault, so every dereference
-	// fell inside one segment and the trace's bitsets hold all of them.
-	tc := Testcase{In: cloneWithValid(in, trace)}
+	// fell inside one segment and the trace's bitsets, laid out like the
+	// image's planes, hold all of them.
+	for si := range in.Mem {
+		valid, reads, writes := in.Mem[si].Valid, trace.Reads[si], trace.Writes[si]
+		for wi := range valid {
+			valid[wi] = reads[wi] | writes[wi]
+		}
+	}
+	tc := Testcase{In: in}
 
 	// Record live outputs from the target's final state.
 	for _, lr := range spec.LiveOut.GPRs {
@@ -171,23 +187,6 @@ func FromInput(m *emu.Machine, target *x64.Program, spec Spec, in *emu.Snapshot)
 		}
 	}
 	return tc, nil
-}
-
-// cloneWithValid deep-copies in with each segment's Valid plane narrowed
-// to the bytes the trace saw read or written.
-func cloneWithValid(in *emu.Snapshot, trace *emu.Trace) *emu.Snapshot {
-	out := in.Clone()
-	for si := range out.Mem {
-		valid := out.Mem[si].Valid
-		clear(valid)
-		reads, writes := trace.Reads[si], trace.Writes[si]
-		for wi := range reads {
-			for w := reads[wi] | writes[wi]; w != 0; w &= w - 1 {
-				valid[wi*64+bits.TrailingZeros64(w)] = true
-			}
-		}
-	}
-	return out
 }
 
 // Arena is a helper for building input snapshots: a bump allocator over a
@@ -225,19 +224,14 @@ func (a *Arena) SetXmm(r x64.Reg, v [2]uint64) {
 func (a *Arena) Alloc(size int, fill func(i int) byte) uint64 {
 	base := (a.next + 15) &^ 15
 	a.next = base + uint64(size) + 32 // red zone between segments
-	im := emu.MemImage{
-		Base:  base,
-		Data:  make([]byte, size),
-		Def:   make([]bool, size),
-		Valid: make([]bool, size),
-	}
+	im := emu.NewMemImage(base, size)
 	if fill != nil {
 		for i := range im.Data {
 			im.Data[i] = fill(i)
 		}
 	}
-	setAll(im.Def)
-	setAll(im.Valid)
+	im.Def.SetRange(0, size)
+	im.Valid.SetRange(0, size)
 	a.s.Mem = append(a.s.Mem, im)
 	return base
 }
@@ -248,13 +242,8 @@ func (a *Arena) Alloc(size int, fill func(i int) byte) uint64 {
 func (a *Arena) AllocStack(size int) uint64 {
 	base := (a.next + 15) &^ 15
 	a.next = base + uint64(size) + 32
-	im := emu.MemImage{
-		Base:  base,
-		Data:  make([]byte, size),
-		Def:   make([]bool, size),
-		Valid: make([]bool, size),
-	}
-	setAll(im.Valid)
+	im := emu.NewMemImage(base, size)
+	im.Valid.SetRange(0, size)
 	a.s.Mem = append(a.s.Mem, im)
 	sp := base + uint64(size/2)
 	a.SetReg(x64.RSP, sp)
@@ -263,15 +252,3 @@ func (a *Arena) AllocStack(size int) uint64 {
 
 // Snapshot returns the built snapshot.
 func (a *Arena) Snapshot() *emu.Snapshot { return a.s }
-
-// setAll sets every element of b by doubling copies: a memmove per power
-// of two instead of a store per byte (every input's stack is 1 KiB).
-func setAll(b []bool) {
-	if len(b) == 0 {
-		return
-	}
-	b[0] = true
-	for n := 1; n < len(b); n *= 2 {
-		copy(b[n:], b[:n])
-	}
-}

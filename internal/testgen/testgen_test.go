@@ -36,12 +36,12 @@ func TestSandboxNarrowedToDerefs(t *testing.T) {
 	for _, tc := range tests {
 		arr := tc.In.Mem[1]
 		for i := 0; i < 8; i++ {
-			if !arr.Valid[i] {
+			if !arr.Valid.Has(i) {
 				t.Fatalf("byte %d should be in the sandbox", i)
 			}
 		}
 		for i := 8; i < 16; i++ {
-			if arr.Valid[i] {
+			if arr.Valid.Has(i) {
 				t.Fatalf("byte %d was never dereferenced but is valid", i)
 			}
 		}
@@ -137,10 +137,10 @@ func TestArenaLayout(t *testing.T) {
 		t.Fatal("fill not applied")
 	}
 	// Stack bytes valid but undefined; array bytes defined.
-	if s.Mem[0].Def[0] || !s.Mem[0].Valid[0] {
+	if s.Mem[0].Def.Has(0) || !s.Mem[0].Valid.Has(0) {
 		t.Fatal("stack must be valid but undefined")
 	}
-	if !s.Mem[1].Def[0] {
+	if !s.Mem[1].Def.Has(0) {
 		t.Fatal("allocation must be defined")
 	}
 }

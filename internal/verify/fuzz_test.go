@@ -52,11 +52,11 @@ func FuzzCexReplayVsVerify(f *testing.F) {
 		// Either program faulting disqualifies the state as replay
 		// evidence (replayCex drops such states for the same reason).
 		m := emu.New()
-		tcT, err := testgen.FromInput(m, target, spec, fc.Snap)
+		tcT, err := testgen.FromInput(m, target, spec, fc.Snap.Clone())
 		if err != nil {
 			return
 		}
-		tcC, err := testgen.FromInput(m, cand, spec, fc.Snap)
+		tcC, err := testgen.FromInput(m, cand, spec, fc.Snap.Clone())
 		if err != nil {
 			return
 		}

@@ -33,16 +33,10 @@ func stackState(rng *rand.Rand) *emu.Snapshot {
 		s.Regs[r] = rng.Uint64()
 	}
 	s.Regs[x64.RSP] = stackSegBase + stackSegSize/2
-	im := emu.MemImage{
-		Base:  stackSegBase,
-		Data:  make([]byte, stackSegSize),
-		Def:   make([]bool, stackSegSize),
-		Valid: make([]bool, stackSegSize),
-	}
+	im := emu.NewMemImage(stackSegBase, stackSegSize)
 	rng.Read(im.Data)
-	for i := range im.Def {
-		im.Def[i], im.Valid[i] = true, true
-	}
+	im.Def.SetRange(0, stackSegSize)
+	im.Valid.SetRange(0, stackSegSize)
 	s.Mem = []emu.MemImage{im}
 	return s
 }

@@ -35,10 +35,6 @@ const midValidateEvery = 8
 // optimize executes the full STOKE pipeline on one kernel.
 func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, error) {
 	rng := rand.New(rand.NewSource(st.seed))
-	sse := k.SSE
-	if st.sse != nil {
-		sse = *st.sse
-	}
 
 	tests, err := testgen.Generate(k.Target, k.Spec, st.tests, rng)
 	if err != nil {
@@ -47,7 +43,6 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 	generated := len(tests)
 
 	rep := &Report{Kernel: k.Name, Target: k.Target, Tests: len(tests)}
-	pools := mcmc.PoolsFor(k.Target, sse)
 
 	// --- Rewrite-store probe (before any search): an exact fingerprint
 	// hit revalidates against the fresh testcases and serves immediately;
@@ -73,6 +68,14 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 		return nil, fmt.Errorf("stoke: %s: %w", k.Name, ErrCacheMiss)
 	}
 	e.searches.Add(1)
+
+	// Proposal pools are built only once a search is certain: a hit never
+	// proposes.
+	sse := k.SSE
+	if st.sse != nil {
+		sse = *st.sse
+	}
+	pools := mcmc.PoolsFor(k.Target, sse)
 
 	// A near-miss seeds τ with the cached entry's replayed counterexample
 	// set before any chain starts, so the search begins with the
