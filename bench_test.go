@@ -321,7 +321,7 @@ func BenchmarkEvalThroughputSSE(b *testing.B) {
 // flag-liveness recomputation: a mutation at the last slot of an ℓ=50
 // candidate whose liveness flip survives a kill-free prefix (48 MOVs), so
 // every Patch re-walks the entire backward slice down to the flag writer
-// at slot 0 and re-selects its dispatch variant. This is the O(ℓ) bound
+// at slot 0 and re-selects its nf bit. This is the O(ℓ) bound
 // the Patch contract pays at most; typical ALU-dense candidates stop the
 // walk at the first unconditional flag writer.
 func BenchmarkPatchLiveness(b *testing.B) {

@@ -42,16 +42,16 @@
 // flag-liveness pass over the compiled form (internal/emu/liveness.go)
 // suppresses the flag computation and stores of every slot whose written
 // flags no later condition consumer, carry chain or exit can observe — the
-// majority of flag writes on ALU-dense candidates — selecting
-// flag-suppressed or reduced szp-only dispatch variants per slot. The
+// majority of flag writes on ALU-dense candidates — through one per-slot
+// nf bit that every flag-writing body checks. The
 // same walk runs a register-liveness pass over packed 16-bit GPR+XMM
 // sets: emu.CompileLive narrows the exit observation to the kernel's
 // live-out masks (exactly what the §4.2 cost function reads), and every
 // slot none of whose written registers — partial-width merge semantics,
 // zero idioms and the divide family's implicit RAX/RDX included — is
-// live-out lowers to a write-suppressed dispatch variant that keeps the
-// full handler's reads, faults and undef accounting but skips the value
-// and definedness stores. Patch keeps the MCMC contract by recomputing
+// live-out gets the nr bit and, on the inline shapes, a write-suppressed
+// dispatch code that keeps the full handler's reads, faults and undef
+// accounting but skips the value and definedness stores. Patch keeps the MCMC contract by recomputing
 // liveness only over the affected backward slice (worst case O(ℓ),
 // ~8ns/slot for both passes; the sampler's reject path restores patched
 // slots from snapshots without re-lowering at all).

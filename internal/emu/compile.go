@@ -38,12 +38,12 @@ import (
 //   - Jump targets are linked at compile time instead of scanning for
 //     labels on every taken branch; Compile also caches the Equation 13
 //     static-latency sum, maintained incrementally across patches.
-//   - A backward flag-liveness pass (liveness.go) marks the slots whose
-//     flag writes no later consumer or exit can observe, and swaps their
-//     dispatch codes for flag-suppressed (or reduced szp-only) variants,
-//     so the run loop skips dead addBits/subBits/szpBits work and the
-//     Flags/FlagsDef stores entirely. Patch recomputes liveness only over
-//     the affected backward slice.
+//   - A backward flag-liveness pass (liveness.go) sets the nf bit on the
+//     slots whose flag writes no later consumer or exit can observe; every
+//     flag-writing body, inline or handler, guards its flag computation
+//     and Flags/FlagsDef store on it, so those slots skip the dead
+//     addBits/subBits/szpBits work entirely. Patch recomputes liveness
+//     only over the affected backward slice.
 //
 // The struct-of-predecoded-fields + static handler design was chosen over
 // per-slot closures under benchmark: closures allocate per compile (hostile
@@ -69,7 +69,9 @@ const (
 	// indirect handler call. Every hot slot still carries its handler, so
 	// the bounded fallback loop needs no second copy of the bodies. "W"
 	// codes are wide-destination only (4/8 bytes: pre-masked results store
-	// directly); CMP/TEST read-only codes apply at every width.
+	// directly); CMP/TEST read-only codes apply at every width. Like the
+	// handlers, every flag-writing inline body stores its flags only when
+	// the slot's nf bit is clear.
 	mkMovRRW
 	mkMovRIW
 	mkMovLoadW
@@ -126,9 +128,8 @@ const (
 	mkSetcc
 
 	// Narrow (1/2-byte) ALU register forms: same bodies as their handlers
-	// (merge-write destination, nf-guarded flag store), inlined because
-	// the proposal distribution draws widths uniformly — half of all ALU
-	// proposals are narrow.
+	// (merge-write destination), inlined because the proposal distribution
+	// draws widths uniformly — half of all ALU proposals are narrow.
 	mkMovsxRR
 	mkAddRRN
 	mkAddRIN
@@ -151,47 +152,6 @@ const (
 	mkShrIW
 	mkSarIW
 
-	// Flag-suppressed ("NF") variants of the flag-writing codes above,
-	// selected per slot by the liveness pass (liveness.go) when none of the
-	// flags the instruction writes is live-out: the inline bodies perform
-	// the same register reads (same undef accounting) and the same
-	// destination write, but skip the flag computation and the
-	// Flags/FlagsDef stores. Each such slot's u.run remains the full
-	// handler, which the bounded loop — where exhaustion makes every slot
-	// an exit — dispatches through (with the nf bit cleared) instead.
-	mkAddRRWNF
-	mkAddRIWNF
-	mkSubRRWNF
-	mkSubRIWNF
-	mkAndRRWNF
-	mkAndRIWNF
-	mkOrRRWNF
-	mkOrRIWNF
-	mkXorRRWNF
-	mkXorRIWNF
-	mkZeroWNF
-	mkCmpRRNF
-	mkCmpRINF
-	mkTestRRNF
-	mkTestRINF
-	mkIncWNF
-	mkDecWNF
-	mkNegWNF
-	mkShlIWNF
-	mkShrIWNF
-	mkSarIWNF
-
-	// Reduced szp-only variants for partially-live arithmetic slots (only
-	// SF/ZF/PF read downstream): the carry/overflow arithmetic of
-	// addBits/subBits is skipped, the szp word is stored under the full
-	// write mask (the CF/OF bits it clears are dead by construction).
-	mkAddRRWZ
-	mkAddRIWZ
-	mkSubRRWZ
-	mkSubRIWZ
-	mkCmpRRZ
-	mkCmpRIZ
-
 	// Write-suppressed ("dead-register") codes, selected by the register-
 	// liveness pass (liveness.go) when every GPR/XMM a slot writes is
 	// dead-out and its flag writes (if any) are dead too. Rather than one
@@ -200,10 +160,11 @@ const (
 	// the reads of its base shape — same order, same undef/sigsegv
 	// counting, including the merge read of a narrow (1/2-byte)
 	// destination — and skips the register write and the flag work
-	// entirely. The mapping is many-to-one (deadKind), so these codes are
-	// fixed points of baseKindOf/liveKind and variant re-selection always
-	// starts from the recorded base kind, never from the current code.
-	// u.run stays the full handler for the bounded loop.
+	// entirely. The mapping is many-to-one (deadKind), so re-selection
+	// always starts from the base kind recorded at lowering time, never
+	// from the current code. u.run stays the full handler for the bounded
+	// loop. These codes measured faster than nr-guarded inline bodies or
+	// routing dead slots through their handlers (ROADMAP direction 4).
 	mkDeadNone  // no reads at all (mov r,imm / zero idioms / pxor x,x)
 	mkDeadR     // reads src (mov r,r / movd r→x / wide movsx)
 	mkDeadRD    // reads dst (wide imm ALU, inc/dec/neg/not, imm shifts)
@@ -219,8 +180,6 @@ const (
 	mkDeadX     // reads src xmm (movaps/movups x,x / pshufd)
 	mkDeadXX    // reads src then dst xmm (shufps, packed ALU)
 	mkDeadXLoad // reads an xmm-or-memory source (movups load — can fault)
-
-	mkNumKinds // sentinel: the variant-map invariant test sweeps [0, mkNumKinds)
 )
 
 // kindW tags a lowered slot with a hot-dispatch code when the destination
@@ -281,8 +240,8 @@ type microOp struct {
 
 // slotFlags is the flag-liveness state of one slot (liveness.go): the
 // instruction's flag reads (gen), unconditional redefinitions (kill) and
-// possible writes, plus the analysis result (liveOut) its dispatch-code
-// variant is selected from. Kept out of microOp deliberately: the run loop
+// possible writes, plus the analysis result (liveOut) its nf bit is
+// selected from. Kept out of microOp deliberately: the run loop
 // never reads liveness state, and microOp fills exactly one cache line —
 // benchmarked, growing it past 64 bytes costs more than the pass saves.
 type slotFlags struct {
@@ -526,7 +485,7 @@ func (c *Compiled) link() {
 	}
 	// Record, per slot, the lowest jump source targeting it (jumps are
 	// forward-only, so sources always sit below their targets), then run
-	// the full liveness pass and variant selection over the relinked
+	// the full liveness pass and selection over the relinked
 	// program.
 	for i := range c.minJSrc {
 		c.minJSrc[i] = -1
@@ -1096,8 +1055,7 @@ func lowerShift(u *microOp, in *x64.Inst) {
 		return
 	}
 	u.run = h.imm
-	// Nonzero immediate counts get inline dispatch codes (and through
-	// them the liveness pass's flag-suppressed variants); a masked count
+	// Nonzero immediate counts get inline dispatch codes; a masked count
 	// of zero only rewrites the destination, which the handler handles.
 	if u.imm != 0 {
 		switch in.Op {
@@ -1171,74 +1129,104 @@ func (m *Machine) RunCompiled(c *Compiled) Outcome {
 			a := m.readReg(u.dst, u.mask)
 			b := m.readReg(u.src, u.mask)
 			r := (a + b) & u.mask
-			m.putFlags(x64.AllFlags, addBits(a, b, 0, r, u))
+			if !u.nf {
+				m.putFlags(x64.AllFlags, addBits(a, b, 0, r, u))
+			}
 			m.setReg(u.dst, r)
 		case mkAddRIW:
 			a := m.readReg(u.dst, u.mask)
 			r := (a + u.imm) & u.mask
-			m.putFlags(x64.AllFlags, addBits(a, u.imm, 0, r, u))
+			if !u.nf {
+				m.putFlags(x64.AllFlags, addBits(a, u.imm, 0, r, u))
+			}
 			m.setReg(u.dst, r)
 		case mkSubRRW:
 			a := m.readReg(u.dst, u.mask)
 			b := m.readReg(u.src, u.mask)
 			r := (a - b) & u.mask
-			m.putFlags(x64.AllFlags, subBits(a, b, 0, r, u))
+			if !u.nf {
+				m.putFlags(x64.AllFlags, subBits(a, b, 0, r, u))
+			}
 			m.setReg(u.dst, r)
 		case mkSubRIW:
 			a := m.readReg(u.dst, u.mask)
 			r := (a - u.imm) & u.mask
-			m.putFlags(x64.AllFlags, subBits(a, u.imm, 0, r, u))
+			if !u.nf {
+				m.putFlags(x64.AllFlags, subBits(a, u.imm, 0, r, u))
+			}
 			m.setReg(u.dst, r)
 		case mkAndRRW:
 			a := m.readReg(u.dst, u.mask)
 			b := m.readReg(u.src, u.mask)
 			r := a & b
-			m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
+			if !u.nf {
+				m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
+			}
 			m.setReg(u.dst, r)
 		case mkAndRIW:
 			a := m.readReg(u.dst, u.mask)
 			r := a & u.imm
-			m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
+			if !u.nf {
+				m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
+			}
 			m.setReg(u.dst, r)
 		case mkOrRRW:
 			a := m.readReg(u.dst, u.mask)
 			b := m.readReg(u.src, u.mask)
 			r := a | b
-			m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
+			if !u.nf {
+				m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
+			}
 			m.setReg(u.dst, r)
 		case mkOrRIW:
 			a := m.readReg(u.dst, u.mask)
 			r := a | u.imm
-			m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
+			if !u.nf {
+				m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
+			}
 			m.setReg(u.dst, r)
 		case mkXorRRW:
 			a := m.readReg(u.dst, u.mask)
 			b := m.readReg(u.src, u.mask)
 			r := a ^ b
-			m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
+			if !u.nf {
+				m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
+			}
 			m.setReg(u.dst, r)
 		case mkXorRIW:
 			a := m.readReg(u.dst, u.mask)
 			r := a ^ u.imm
-			m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
+			if !u.nf {
+				m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
+			}
 			m.setReg(u.dst, r)
 		case mkZeroW:
-			m.putFlags(x64.AllFlags, x64.ZF|x64.PF)
+			if !u.nf {
+				m.putFlags(x64.AllFlags, x64.ZF|x64.PF)
+			}
 			m.setReg(u.dst, 0)
 		case mkCmpRR:
 			a := m.readReg(u.dst, u.mask)
 			b := m.readReg(u.src, u.mask)
-			m.putFlags(x64.AllFlags, subBits(a, b, 0, (a-b)&u.mask, u))
+			if !u.nf {
+				m.putFlags(x64.AllFlags, subBits(a, b, 0, (a-b)&u.mask, u))
+			}
 		case mkCmpRI:
 			a := m.readReg(u.dst, u.mask)
-			m.putFlags(x64.AllFlags, subBits(a, u.imm, 0, (a-u.imm)&u.mask, u))
+			if !u.nf {
+				m.putFlags(x64.AllFlags, subBits(a, u.imm, 0, (a-u.imm)&u.mask, u))
+			}
 		case mkTestRR:
 			a := m.readReg(u.dst, u.mask)
 			b := m.readReg(u.src, u.mask)
-			m.putFlags(x64.AllFlags, szpBits(a&b, u.sbit))
+			if !u.nf {
+				m.putFlags(x64.AllFlags, szpBits(a&b, u.sbit))
+			}
 		case mkTestRI:
 			a := m.readReg(u.dst, u.mask)
-			m.putFlags(x64.AllFlags, szpBits(a&u.imm, u.sbit))
+			if !u.nf {
+				m.putFlags(x64.AllFlags, szpBits(a&u.imm, u.sbit))
+			}
 		case mkLeaW:
 			m.setReg(u.dst, m.effectiveAddr(u.in.Opd[0])&u.mask)
 		case mkCmovRRW:
@@ -1253,32 +1241,38 @@ func (m *Machine) RunCompiled(c *Compiled) Outcome {
 		case mkIncW:
 			a := m.readReg(u.dst, u.mask)
 			r := (a + 1) & u.mask
-			fl := szpBits(r, u.sbit)
-			if r == u.sbit {
-				fl |= x64.OF
+			if !u.nf {
+				fl := szpBits(r, u.sbit)
+				if r == u.sbit {
+					fl |= x64.OF
+				}
+				m.putFlags(incDecFlags, fl)
 			}
-			m.putFlags(incDecFlags, fl)
 			m.setReg(u.dst, r)
 		case mkDecW:
 			a := m.readReg(u.dst, u.mask)
 			r := (a - 1) & u.mask
-			fl := szpBits(r, u.sbit)
-			if a == u.sbit {
-				fl |= x64.OF
+			if !u.nf {
+				fl := szpBits(r, u.sbit)
+				if a == u.sbit {
+					fl |= x64.OF
+				}
+				m.putFlags(incDecFlags, fl)
 			}
-			m.putFlags(incDecFlags, fl)
 			m.setReg(u.dst, r)
 		case mkNegW:
 			a := m.readReg(u.dst, u.mask)
 			r := (-a) & u.mask
-			fl := szpBits(r, u.sbit)
-			if a != 0 {
-				fl |= x64.CF
+			if !u.nf {
+				fl := szpBits(r, u.sbit)
+				if a != 0 {
+					fl |= x64.CF
+				}
+				if a == u.sbit {
+					fl |= x64.OF
+				}
+				m.putFlags(x64.AllFlags, fl)
 			}
-			if a == u.sbit {
-				fl |= x64.OF
-			}
-			m.putFlags(x64.AllFlags, fl)
 			m.setReg(u.dst, r)
 		case mkNotW:
 			a := m.readReg(u.dst, u.mask)
@@ -1423,108 +1417,6 @@ func (m *Machine) RunCompiled(c *Compiled) Outcome {
 			a := m.readReg(u.dst, u.mask)
 			sarCore(m, u, a, u.imm)
 
-		// Flag-suppressed variants: same reads (same undef accounting) and
-		// the same destination write as their full twins, with the flag
-		// computation and Flags/FlagsDef stores skipped — every flag these
-		// slots would write is provably rewritten before any read or exit.
-		case mkAddRRWNF:
-			a := m.readReg(u.dst, u.mask)
-			b := m.readReg(u.src, u.mask)
-			m.setReg(u.dst, (a+b)&u.mask)
-		case mkAddRIWNF:
-			a := m.readReg(u.dst, u.mask)
-			m.setReg(u.dst, (a+u.imm)&u.mask)
-		case mkSubRRWNF:
-			a := m.readReg(u.dst, u.mask)
-			b := m.readReg(u.src, u.mask)
-			m.setReg(u.dst, (a-b)&u.mask)
-		case mkSubRIWNF:
-			a := m.readReg(u.dst, u.mask)
-			m.setReg(u.dst, (a-u.imm)&u.mask)
-		case mkAndRRWNF:
-			a := m.readReg(u.dst, u.mask)
-			b := m.readReg(u.src, u.mask)
-			m.setReg(u.dst, a&b)
-		case mkAndRIWNF:
-			a := m.readReg(u.dst, u.mask)
-			m.setReg(u.dst, a&u.imm)
-		case mkOrRRWNF:
-			a := m.readReg(u.dst, u.mask)
-			b := m.readReg(u.src, u.mask)
-			m.setReg(u.dst, a|b)
-		case mkOrRIWNF:
-			a := m.readReg(u.dst, u.mask)
-			m.setReg(u.dst, a|u.imm)
-		case mkXorRRWNF:
-			a := m.readReg(u.dst, u.mask)
-			b := m.readReg(u.src, u.mask)
-			m.setReg(u.dst, a^b)
-		case mkXorRIWNF:
-			a := m.readReg(u.dst, u.mask)
-			m.setReg(u.dst, a^u.imm)
-		case mkZeroWNF:
-			m.setReg(u.dst, 0)
-		case mkCmpRRNF:
-			m.readReg(u.dst, u.mask)
-			m.readReg(u.src, u.mask)
-		case mkCmpRINF:
-			m.readReg(u.dst, u.mask)
-		case mkTestRRNF:
-			m.readReg(u.dst, u.mask)
-			m.readReg(u.src, u.mask)
-		case mkTestRINF:
-			m.readReg(u.dst, u.mask)
-		case mkIncWNF:
-			a := m.readReg(u.dst, u.mask)
-			m.setReg(u.dst, (a+1)&u.mask)
-		case mkDecWNF:
-			a := m.readReg(u.dst, u.mask)
-			m.setReg(u.dst, (a-1)&u.mask)
-		case mkNegWNF:
-			a := m.readReg(u.dst, u.mask)
-			m.setReg(u.dst, (-a)&u.mask)
-		case mkShlIWNF:
-			a := m.readReg(u.dst, u.mask)
-			m.setReg(u.dst, a<<u.imm&u.mask)
-		case mkShrIWNF:
-			a := m.readReg(u.dst, u.mask)
-			m.setReg(u.dst, a>>u.imm)
-		case mkSarIWNF:
-			a := m.readReg(u.dst, u.mask)
-			m.setReg(u.dst, uint64(sext(a, u.w)>>u.imm)&u.mask)
-
-		// Reduced szp-only variants: the live flags are a subset of
-		// SF/ZF/PF, so the carry/overflow arithmetic is skipped and the
-		// szp word stored under the full mask (its zero CF/OF are dead).
-		case mkAddRRWZ:
-			a := m.readReg(u.dst, u.mask)
-			b := m.readReg(u.src, u.mask)
-			r := (a + b) & u.mask
-			m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
-			m.setReg(u.dst, r)
-		case mkAddRIWZ:
-			a := m.readReg(u.dst, u.mask)
-			r := (a + u.imm) & u.mask
-			m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
-			m.setReg(u.dst, r)
-		case mkSubRRWZ:
-			a := m.readReg(u.dst, u.mask)
-			b := m.readReg(u.src, u.mask)
-			r := (a - b) & u.mask
-			m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
-			m.setReg(u.dst, r)
-		case mkSubRIWZ:
-			a := m.readReg(u.dst, u.mask)
-			r := (a - u.imm) & u.mask
-			m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
-			m.setReg(u.dst, r)
-		case mkCmpRRZ:
-			a := m.readReg(u.dst, u.mask)
-			b := m.readReg(u.src, u.mask)
-			m.putFlags(x64.AllFlags, szpBits((a-b)&u.mask, u.sbit))
-		case mkCmpRIZ:
-			a := m.readReg(u.dst, u.mask)
-			m.putFlags(x64.AllFlags, szpBits((a-u.imm)&u.mask, u.sbit))
 		case mkMovdRX:
 			m.writeXmm(u.dst, [2]uint64{m.readReg(u.src, u.mask), 0})
 		case mkMovXX:
@@ -1560,7 +1452,7 @@ func (m *Machine) RunCompiled(c *Compiled) Outcome {
 		case mkPXorZero:
 			m.writeXmm(u.dst, [2]uint64{0, 0})
 
-		// Write-suppressed variants: exactly the reads of the base shape
+		// Write-suppressed codes: exactly the reads of the base shape
 		// (same undef/sigsegv accounting, merge reads of narrow
 		// destinations included), no register write, no flag work — every
 		// register and flag these slots write is provably rewritten
@@ -1623,8 +1515,8 @@ func (m *Machine) RunCompiled(c *Compiled) Outcome {
 // observable — so the liveness passes' suppressed forms are unsound here.
 // This cold path therefore dispatches every executable slot through a
 // scratch copy of its micro-op with the nf and nr bits cleared: u.run is
-// always the full handler (variant selection only ever swaps dispatch
-// codes and sets nf/nr), so the copy restores exact all-live semantics
+// always the full handler (selection only ever swaps dispatch codes and
+// sets nf/nr), so the copy restores exact all-live semantics
 // for the price of a 64-byte struct copy per step.
 func (m *Machine) runCompiledBounded(c *Compiled) Outcome {
 	var out Outcome

@@ -72,12 +72,28 @@ func randomSnapshot(rng *rand.Rand) *emu.Snapshot {
 // observable states.
 func diffStates(t *testing.T, a, b *emu.Machine, snap *emu.Snapshot, what string) {
 	t.Helper()
-	if a.Regs != b.Regs || a.RegDef != b.RegDef {
-		t.Errorf("%s: GPR state diverged:\n  interp: %x def=%04x\n  compiled: %x def=%04x",
-			what, a.Regs, a.RegDef, b.Regs, b.RegDef)
+	diffLiveStates(t, a, b, snap, allLive, allLive, what)
+}
+
+// allLive marks all 16 GPRs (or XMMs) live.
+const allLive = 0xffff
+
+// diffLiveStates is diffStates restricted to the GPRs and XMMs named in
+// liveG/liveX, the state a CompileLive form promises to preserve; flags
+// and memory are always compared in full.
+func diffLiveStates(t *testing.T, a, b *emu.Machine, snap *emu.Snapshot, liveG, liveX uint16, what string) {
+	t.Helper()
+	for r := x64.Reg(0); r < x64.NumGPR; r++ {
+		if liveG>>r&1 != 0 && (a.Regs[r] != b.Regs[r] || a.RegDef>>r&1 != b.RegDef>>r&1) {
+			t.Errorf("%s: %v diverged: interp %#x def=%d compiled %#x def=%d",
+				what, r, a.Regs[r], a.RegDef>>r&1, b.Regs[r], b.RegDef>>r&1)
+		}
 	}
-	if a.Xmm != b.Xmm || a.XmmDef != b.XmmDef {
-		t.Errorf("%s: XMM state diverged", what)
+	for r := 0; r < x64.NumXMM; r++ {
+		if liveX>>r&1 != 0 && (a.Xmm[r] != b.Xmm[r] || a.XmmDef>>r&1 != b.XmmDef>>r&1) {
+			t.Errorf("%s: xmm%d diverged: interp %#x def=%d compiled %#x def=%d",
+				what, r, a.Xmm[r], a.XmmDef>>r&1, b.Xmm[r], b.XmmDef>>r&1)
+		}
 	}
 	if a.Flags != b.Flags || a.FlagsDef != b.FlagsDef {
 		t.Errorf("%s: flag state diverged: interp %v/%v compiled %v/%v",
@@ -100,6 +116,13 @@ func diffStates(t *testing.T, a, b *emu.Machine, snap *emu.Snapshot, what string
 // runBoth executes p on snap through both paths and cross-checks them.
 func runBoth(t *testing.T, mi, mc *emu.Machine, p *x64.Program, c *emu.Compiled, snap *emu.Snapshot, what string) {
 	t.Helper()
+	runBothLive(t, mi, mc, p, c, snap, allLive, allLive, what)
+}
+
+// runBothLive is runBoth for a form compiled with CompileLive(p, liveG,
+// liveX): only the live registers' final state is compared.
+func runBothLive(t *testing.T, mi, mc *emu.Machine, p *x64.Program, c *emu.Compiled, snap *emu.Snapshot, liveG, liveX uint16, what string) {
+	t.Helper()
 	mi.LoadSnapshot(snap)
 	oi := mi.Run(p)
 	mc.LoadSnapshotCached(snap)
@@ -107,7 +130,22 @@ func runBoth(t *testing.T, mi, mc *emu.Machine, p *x64.Program, c *emu.Compiled,
 	if oi != oc {
 		t.Errorf("%s: outcomes diverged: interp %+v compiled %+v\n%s", what, oi, oc, p)
 	}
-	diffStates(t, mi, mc, snap, what)
+	diffLiveStates(t, mi, mc, snap, liveG, liveX, what)
+}
+
+// sameSelection fails the test unless the patched form's per-slot
+// liveness selection — dispatch code, nf and nr — equals a fresh
+// compile's: selection is a pure function of the program, never of the
+// patch history.
+func sameSelection(t *testing.T, patched, fresh *emu.Compiled, what string) {
+	t.Helper()
+	ps, fs := patched.SlotSelections(), fresh.SlotSelections()
+	for s := range ps {
+		if ps[s] != fs[s] {
+			t.Fatalf("%s: slot %d selection %+v patched vs %+v fresh\n%s",
+				what, s, ps[s], fs[s], patched.Program())
+		}
+	}
 }
 
 // TestCompiledMatchesInterpreterRandom is the main differential test: ≥10k

@@ -26,13 +26,22 @@ func (c *Compiled) FallbackSlots() []int {
 // LoadSnapshotCached has performed over the machine's lifetime.
 func (m *Machine) XmmRestores() int { return m.xmmRestores }
 
-// SlotKinds exposes the per-slot dispatch codes, so the differential fuzz
-// targets can pin a patched form's liveness-driven variant selection to a
-// fresh compile's, not just its observable behaviour.
-func (c *Compiled) SlotKinds() []uint8 {
-	out := make([]uint8, len(c.ops))
+// SlotSelection is one slot's liveness-driven selection: its dispatch
+// code and its flag (nf) and register (nr) suppression bits.
+type SlotSelection struct {
+	Kind   uint8
+	NF, NR bool
+}
+
+// SlotSelections exposes every slot's selection, so the differential
+// tests can pin a patched form's liveness results to a fresh compile's —
+// the suppression bits included, not just the dispatch codes and the
+// observable behaviour.
+func (c *Compiled) SlotSelections() []SlotSelection {
+	out := make([]SlotSelection, len(c.ops))
 	for i := range c.ops {
-		out[i] = uint8(c.ops[i].kind)
+		u := &c.ops[i]
+		out[i] = SlotSelection{Kind: uint8(u.kind), NF: u.nf, NR: u.nr}
 	}
 	return out
 }

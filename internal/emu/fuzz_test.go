@@ -12,6 +12,7 @@ package emu_test
 import (
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"testing"
@@ -32,7 +33,27 @@ func FuzzCompiledVsInterpreted(f *testing.F) {
 		if t.Failed() {
 			t.Fatalf("diverging program:\n%s", fc.Prog)
 		}
+		// The engine compiles candidates with CompileLive, where writes
+		// only the exit would observe are suppressed too: the outcome,
+		// flags, memory and every live register must still match.
+		liveG, liveX := fuzzLiveMasks(data)
+		runBothLive(t, mi, mc, fc.Prog, emu.CompileLive(fc.Prog, liveG, liveX), fc.Snap,
+			liveG, liveX, fmt.Sprintf("CompileLive(%#04x, %#04x)", liveG, liveX))
+		if t.Failed() {
+			t.Fatalf("diverging program:\n%s", fc.Prog)
+		}
 	})
+}
+
+// fuzzLiveMasks derives CompileLive exit masks from a fuzz input by
+// hashing it, so the masks vary with every input while DecodeFuzzCase
+// consumes exactly the bytes it always has (the checked-in corpora keep
+// decoding to the same cases).
+func fuzzLiveMasks(data []byte) (liveG, liveX uint16) {
+	h := fnv.New32a()
+	h.Write(data)
+	sum := h.Sum32()
+	return uint16(sum), uint16(sum >> 16)
 }
 
 func FuzzPatchVsFreshCompile(f *testing.F) {
@@ -63,16 +84,9 @@ func FuzzPatchVsFreshCompile(f *testing.F) {
 					step, c.StaticLatency(), recompiled.StaticLatency(), prog)
 			}
 			// The incremental liveness recomputation must converge to the
-			// same per-slot dispatch selection as a fresh compile: variant
-			// codes are a pure function of the program, never of the patch
-			// history.
-			pk, fk := c.SlotKinds(), recompiled.SlotKinds()
-			for s := range pk {
-				if pk[s] != fk[s] {
-					t.Fatalf("edit %d: slot %d dispatch code %d after patching, fresh compile has %d\n%s",
-						step, s, pk[s], fk[s], prog)
-				}
-			}
+			// same per-slot selection (dispatch code, nf, nr) as a fresh
+			// compile.
+			sameSelection(t, c, recompiled, fmt.Sprintf("edit %d", step))
 			fresh.LoadSnapshot(fc.Snap)
 			of := fresh.RunCompiled(recompiled)
 			patched.LoadSnapshotCached(fc.Snap)
@@ -89,13 +103,13 @@ func FuzzPatchVsFreshCompile(f *testing.F) {
 	})
 }
 
-// batchLanes derives a spread of per-lane snapshots from one fuzz
+// laneSnapshots derives a spread of per-lane snapshots from one fuzz
 // snapshot: lane 0 runs it verbatim, later lanes perturb register values,
 // input flags, and definedness, so conditional jumps take different
 // successors, divisors fault on some lanes only, and stores land at
 // different addresses. The memory image is shared — lanes never mutate
 // their input snapshot.
-func batchLanes(snap *emu.Snapshot) []*emu.Snapshot {
+func laneSnapshots(snap *emu.Snapshot) []*emu.Snapshot {
 	lanes := make([]*emu.Snapshot, 7)
 	for i := range lanes {
 		s := *snap
@@ -114,13 +128,15 @@ func batchLanes(snap *emu.Snapshot) []*emu.Snapshot {
 	return lanes
 }
 
-// FuzzBatchedVsScalar pins the way a testcase batch is evaluated — one
+// FuzzBatchedVsScalar pins the way a testcase set is evaluated — one
 // shared compiled form, patched in place between reruns, and one long-lived
-// machine per lane reloaded with LoadSnapshotCached, as cost.EvalCompiled
-// scores a testcase set — to the scalar reference: a fresh machine, a full
-// LoadSnapshot and a fresh compile per lane. Every lane must finish with
-// the same Outcome and machine state after every patch edit, so no lane's
-// result depends on what that machine ran for an earlier program.
+// machine per testcase reloaded with LoadSnapshotCached, as
+// cost.EvalCompiled scores a testcase set — to a fresh machine, a full
+// LoadSnapshot and a fresh compile per testcase. Every lane must finish
+// with the same Outcome and machine state after every patch edit, so no
+// lane's result depends on what that machine ran for an earlier program.
+// (The target keeps the name it had when it pinned a batched evaluator,
+// so the ids of its seed subtests stay stable.)
 func FuzzBatchedVsScalar(f *testing.F) {
 	for _, s := range testgen.SeedCorpus() {
 		f.Add(s.Data)
@@ -129,7 +145,7 @@ func FuzzBatchedVsScalar(f *testing.F) {
 		fc := testgen.DecodeFuzzCase(data)
 		prog := fc.Prog
 		c := emu.Compile(prog)
-		snaps := batchLanes(fc.Snap)
+		snaps := laneSnapshots(fc.Snap)
 		lanes := make([]*emu.Machine, len(snaps))
 		for i := range lanes {
 			lanes[i] = emu.New()
@@ -144,7 +160,7 @@ func FuzzBatchedVsScalar(f *testing.F) {
 				ref.LoadSnapshot(s)
 				want := ref.RunCompiled(fresh)
 				if got != want {
-					t.Errorf("%s: lane %d outcomes diverged: scalar %+v batched %+v",
+					t.Errorf("%s: lane %d outcomes diverged: fresh %+v reused %+v",
 						what, i, want, got)
 				}
 				diffStates(t, ref, lanes[i], s, fmt.Sprintf("%s: lane %d", what, i))

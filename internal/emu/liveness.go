@@ -10,12 +10,15 @@ import "repro/internal/x64"
 // candidates are dense with ALU instructions and sparse with Jcc/SETcc/
 // CMOVcc/ADC-style readers. Compile therefore computes, per slot, which of
 // the five flags are live-out (read by a later consumer along some path
-// before being redefined, conservatively all-live at every exit), and the
-// hot flag-writing dispatch codes are swapped for flag-suppressed variants
-// on slots where no written flag is live: the run loop skips the
-// addBits/subBits/szpBits computation and the Flags/FlagsDef stores
-// entirely. Slots where only SF/ZF/PF survive take a reduced szp-only path
-// that skips the carry/overflow arithmetic.
+// before being redefined, conservatively all-live at every exit), and sets
+// the slot's nf bit when no flag it writes is live: every flag-writing
+// body — the run loop's inline codes, the specialised handlers and the
+// generic fallback — then skips the addBits/subBits/szpBits computation
+// and the Flags/FlagsDef stores entirely. Flag liveness is that one bit:
+// a slot with any live written flag computes the full flag word. A
+// separate flag-suppressed dispatch code per inline shape, and reduced
+// szp-only codes for partially live add/sub/cmp slots, measured no faster
+// end to end than this one guard (ROADMAP direction 4).
 //
 // Soundness rests on three observations:
 //
@@ -33,19 +36,20 @@ import "repro/internal/x64"
 //     kill nothing; DIV/IDIV kill everything — both the fault and success
 //     paths define all five flags as zero). A flag is only marked dead
 //     when every path to an exit kills it first.
-//   - Error accounting is preserved. Flag-suppressed variants perform
-//     exactly the register and flag reads of their full counterparts, in
-//     the same order, so the undef/sigsegv counters — observables of the
-//     cost function — cannot diverge.
+//   - Error accounting is preserved. The nf guard wraps only the flag
+//     computation and store; every register and flag read happens in the
+//     same order either way, so the undef/sigsegv counters — observables
+//     of the cost function — cannot diverge.
 //
 // Register liveness. The same machinery runs a second backward pass over
 // 16-bit GPR and XMM sets: per slot, regSummary derives the registers the
 // handler reads (gen) and writes from the instruction's operand and
 // implicit effects (x64.EffectsOf), live-in is gen | liveOut &^ write,
-// and a slot every one of whose written registers is dead-out lowers to a
-// write-suppressed form — a shared mkDead* dispatch code when its flag
-// writes (if any) are dead too, or the nr bit honoured inside the
-// specialised handler. The dataflow rules:
+// and a slot every one of whose written registers is dead-out — and whose
+// flag writes, if any, are dead too — is write-suppressed: its nr bit is
+// set, and the inline shapes additionally swap to a shared mkDead*
+// dispatch code that performs only their reads (handler-dispatched shapes
+// honour nr inside the handler). The dataflow rules:
 //
 //   - Exits gen the Compiled's exitRegs masks: all registers under
 //     plain Compile (full final state stays comparable against the
@@ -80,19 +84,19 @@ import "repro/internal/x64"
 // it can exhaust the step budget at any slot, which makes every slot a
 // potential exit, so it dispatches each slot through a scratch copy with
 // the nf and nr bits cleared — u.run always remains the full handler —
-// never through the selected variant codes.
+// never through the selected mkDead* codes.
 //
 // Patching. An MCMC move rewrites one slot, which can flip liveness for an
 // unbounded prefix of the program (the affected backward slice). Because
 // jumps are forward-only, slot order is a topological order of the CFG and
 // liveness needs no fixpoint iteration: Patch re-walks slots from the
 // mutated index toward slot 0, recomputing live-in/live-out from each
-// slot's stored gen/kill summary, re-selecting dispatch codes only where
-// live-out actually changed, and stopping as soon as a slot's live-in is
-// unchanged and no jump source below still targets a changed slot (the
-// minJSrc barrier). Worst case — a mutation at slot ℓ-1 whose liveness
-// change survives a kill-free prefix — the walk is O(ℓ);
-// BenchmarkPatchLiveness measures exactly that shape.
+// slot's stored gen/kill summary, re-selecting the nf/nr bits and
+// dispatch codes only where live-out actually changed, and stopping as
+// soon as a slot's live-in is unchanged and no jump source below still
+// targets a changed slot (the minJSrc barrier). Worst case — a mutation
+// at slot ℓ-1 whose liveness change survives a kill-free prefix — the
+// walk is O(ℓ); BenchmarkPatchLiveness measures exactly that shape.
 
 // flagSummary derives the liveness summary of one executable instruction:
 // gen is the set of flags it reads (condition codes included), write the
@@ -128,9 +132,9 @@ func flagSummary(in *x64.Inst) (gen, kill, write x64.FlagSet) {
 
 // slotRegs is the register-liveness state of one slot: the packed
 // GPR+XMM sets the handler reads (gen) and writes (write), the analysis
-// results (in/liveOut), the recorded base dispatch code variant
-// re-selection starts from (the dead codes are many-to-one, so the
-// current u.kind cannot be inverted), and the suppression eligibility
+// results (in/liveOut), the recorded base dispatch code re-selection
+// starts from (the dead codes are many-to-one, so the current u.kind
+// cannot be inverted), and the suppression eligibility
 // decided at lowering time. Kept beside slotFlags, outside microOp, for
 // the same cache-line reason.
 type slotRegs struct {
@@ -208,7 +212,7 @@ func (c *Compiled) regLiveInAt(j int) uint32 {
 // outChanged reports only selection-relevant change: live-out bits
 // masked by the slot's own write sets, the sole live-out inputs of
 // applyLiveness — a changed bit the slot does not write cannot flip its
-// dispatch selection, so patchLiveness skips re-selection for it (the
+// selection, so patchLiveness skips re-selection for it (the
 // common case on a long walk: a liveness flip streaming through slots
 // that merely propagate it).
 func (c *Compiled) recomputeSlot(j int) (inChanged, outChanged bool) {
@@ -242,8 +246,9 @@ func (c *Compiled) recomputeSlot(j int) (inChanged, outChanged bool) {
 }
 
 // computeLiveness runs the full backward pass and (re-)selects every
-// slot's dispatch variant. Called from link, so fresh compiles, full
-// recompiles and control-structure patches all pass through it.
+// slot's suppression bits and dispatch code. Called from link, so fresh
+// compiles, full recompiles and control-structure patches all pass
+// through it.
 func (c *Compiled) computeLiveness() {
 	for j := len(c.ops) - 1; j >= 0; j-- {
 		c.recomputeSlot(j)
@@ -252,11 +257,12 @@ func (c *Compiled) computeLiveness() {
 }
 
 // patchLiveness recomputes liveness over the backward slice affected by a
-// re-lowered slot i (whose dispatch code lowerSlot has just reset to the
-// full variant). The walk ends at the first slot whose live-in did not
-// change, unless a jump below it targets a slot whose live-in did — those
-// sources (tracked via minJSrc, always below their forward targets) must
-// be re-walked before their own predecessors can be trusted.
+// re-lowered slot i (which lowerSlot has just reset to its base code with
+// both suppression bits clear). The walk ends at the first slot whose
+// live-in did not change, unless a jump below it targets a slot whose
+// live-in did — those sources (tracked via minJSrc, always below their
+// forward targets) must be re-walked before their own predecessors can be
+// trusted.
 func (c *Compiled) patchLiveness(i int) {
 	pending := -1
 	for j := i; j >= 0; j-- {
@@ -275,26 +281,27 @@ func (c *Compiled) patchLiveness(i int) {
 	}
 }
 
-// applyLiveness selects slot i's dispatch code and suppression bits from
-// its live-out sets. Registers first: a slot is register-dead when it is
-// eligible and none of the GPRs/XMMs it writes is live-out; it is
-// suppressed (nr set, dead dispatch code) only when its flag writes — if
-// it has any — are dead too, so a single code can drop the register
-// write and the flag work together (partially-live slots stay on their
-// flag-selected variant and write the register: never suppressing is
-// always sound, and the choice is a pure function of the slot's summary
-// and live-out sets, which keeps patched and fresh selection identical).
-// Flags as before: the flag-suppressed variant when no written flag is
-// live, the szp-only variant when only SF/ZF/PF are, the full code
-// otherwise. Only kind, nf and nr are ever touched —
-// u.run stays the full handler, which is what lets the bounded loop
-// recover all-live semantics from a copy with both bits cleared.
+// applyLiveness selects slot i's suppression bits and dispatch code from
+// its live-out sets. Flags are one bit: nf is set when the slot writes
+// flags and none of them is live-out, and every flag-writing body — inline
+// code, specialised handler, or the generic fallback, which restores the
+// flag words around the interpreter switch (hGeneric) — guards its flag
+// work on it. A slot is register-dead when it is eligible, none of the
+// GPRs/XMMs it writes is live-out and its flag writes (if any) are dead
+// too; it then gets the nr bit and, on the inline shapes, the mkDead*
+// code performing only its reads (partially-live slots keep their base
+// code and write the register: never suppressing is always sound). The
+// choice is a pure function of the slot's summary and live-out sets,
+// which keeps patched and fresh selection identical. Only kind, nf and nr
+// are ever touched — u.run stays the full handler, which is what lets the
+// bounded loop recover all-live semantics from a copy with both bits
+// cleared.
 func (c *Compiled) applyLiveness(i int) {
 	u := &c.ops[i]
 	f := &c.flags[i]
 	rg := &c.regs[i]
-	liveF := f.liveOut & f.write
-	deadF := f.write == 0 || liveF == 0
+	deadF := f.liveOut&f.write == 0
+	u.nf = f.write != 0 && deadF
 	nr := rg.eligible && deadF && rg.write&rg.liveOut == 0
 	if nr != u.nr {
 		if nr {
@@ -304,152 +311,16 @@ func (c *Compiled) applyLiveness(i int) {
 		}
 		u.nr = nr
 	}
-	if f.write != 0 {
-		// The nf bit suppresses the flag store of handler-dispatched
-		// slots — the shapes without an inline variant code (narrow
-		// widths, memory operands, CL shifts, the mul/div families): every
-		// specialised flag-writing handler guards its putFlags on it, and
-		// the generic fallback honours it by restoring the flag words
-		// around the interpreter switch (hGeneric).
-		u.nf = liveF == 0
-	}
-	switch {
-	case nr:
+	u.kind = rg.base
+	if nr {
 		u.kind = deadKind(rg.base, u.w >= 4)
-	case f.write != 0:
-		u.kind = liveKind(rg.base, liveF)
-	default:
-		// A previously-suppressed non-flag-writing slot (mov, lea, SSE)
-		// whose destination came back live returns to its base code.
-		u.kind = rg.base
 	}
-}
-
-// baseKindOf maps a liveness-selected variant code back to its full-flag
-// base code (identity for every other kind).
-func baseKindOf(k microKind) microKind {
-	switch k {
-	case mkAddRRWNF, mkAddRRWZ:
-		return mkAddRRW
-	case mkAddRIWNF, mkAddRIWZ:
-		return mkAddRIW
-	case mkSubRRWNF, mkSubRRWZ:
-		return mkSubRRW
-	case mkSubRIWNF, mkSubRIWZ:
-		return mkSubRIW
-	case mkAndRRWNF:
-		return mkAndRRW
-	case mkAndRIWNF:
-		return mkAndRIW
-	case mkOrRRWNF:
-		return mkOrRRW
-	case mkOrRIWNF:
-		return mkOrRIW
-	case mkXorRRWNF:
-		return mkXorRRW
-	case mkXorRIWNF:
-		return mkXorRIW
-	case mkZeroWNF:
-		return mkZeroW
-	case mkCmpRRNF, mkCmpRRZ:
-		return mkCmpRR
-	case mkCmpRINF, mkCmpRIZ:
-		return mkCmpRI
-	case mkTestRRNF:
-		return mkTestRR
-	case mkTestRINF:
-		return mkTestRI
-	case mkIncWNF:
-		return mkIncW
-	case mkDecWNF:
-		return mkDecW
-	case mkNegWNF:
-		return mkNegW
-	case mkShlIWNF:
-		return mkShlIW
-	case mkShrIWNF:
-		return mkShrIW
-	case mkSarIWNF:
-		return mkSarIW
-	}
-	return k
-}
-
-// liveKind picks the variant of a full-flag base code for the given set of
-// live written flags: suppressed when empty, szp-only when the carry and
-// overflow outputs are dead (only the arithmetic codes, whose CF/OF cost
-// is separable, have one), the base code otherwise.
-func liveKind(base microKind, live x64.FlagSet) microKind {
-	if live == 0 {
-		switch base {
-		case mkAddRRW:
-			return mkAddRRWNF
-		case mkAddRIW:
-			return mkAddRIWNF
-		case mkSubRRW:
-			return mkSubRRWNF
-		case mkSubRIW:
-			return mkSubRIWNF
-		case mkAndRRW:
-			return mkAndRRWNF
-		case mkAndRIW:
-			return mkAndRIWNF
-		case mkOrRRW:
-			return mkOrRRWNF
-		case mkOrRIW:
-			return mkOrRIWNF
-		case mkXorRRW:
-			return mkXorRRWNF
-		case mkXorRIW:
-			return mkXorRIWNF
-		case mkZeroW:
-			return mkZeroWNF
-		case mkCmpRR:
-			return mkCmpRRNF
-		case mkCmpRI:
-			return mkCmpRINF
-		case mkTestRR:
-			return mkTestRRNF
-		case mkTestRI:
-			return mkTestRINF
-		case mkIncW:
-			return mkIncWNF
-		case mkDecW:
-			return mkDecWNF
-		case mkNegW:
-			return mkNegWNF
-		case mkShlIW:
-			return mkShlIWNF
-		case mkShrIW:
-			return mkShrIWNF
-		case mkSarIW:
-			return mkSarIWNF
-		}
-		return base
-	}
-	if live&(x64.CF|x64.OF) == 0 {
-		switch base {
-		case mkAddRRW:
-			return mkAddRRWZ
-		case mkAddRIW:
-			return mkAddRIWZ
-		case mkSubRRW:
-			return mkSubRRWZ
-		case mkSubRIW:
-			return mkSubRIWZ
-		case mkCmpRR:
-			return mkCmpRRZ
-		case mkCmpRI:
-			return mkCmpRIZ
-		}
-	}
-	return base
 }
 
 // deadKind maps a full base dispatch code to its write-suppressed code —
 // the shared mkDead* shape performing exactly the base body's reads (the
-// mapping is many-to-one; these codes are fixed points of baseKindOf and
-// liveKind, and re-selection always starts from the recorded base).
+// mapping is many-to-one, so re-selection always starts from the recorded
+// base).
 // Handler-dispatched shapes map to themselves: their handlers honour the
 // nr bit directly (writeALU is the chokepoint for the ALU-shaped bodies;
 // the mul/div/xchg/load/SSE-store-free handlers guard explicitly). wide
@@ -514,11 +385,9 @@ func (c *Compiled) RegFreeSlots() int { return c.nrCount }
 func (c *Compiled) RegWritingSlots() int { return c.wrCount }
 
 // FlagFreeSlots reports how many flag-writing slots the liveness pass
-// proved dead and suppressed — via a flag-suppressed dispatch code on the
-// inline shapes, via the nf bit on handler-dispatched ones (including the
-// generic fallback, which restores the flag words around the interpreter
-// switch) — so RunCompiled skips their flag computation and
-// Flags/FlagsDef stores.
+// proved dead and marked with the nf bit, so RunCompiled skips their flag
+// computation and Flags/FlagsDef stores (the generic fallback restores
+// the flag words around the interpreter switch instead).
 func (c *Compiled) FlagFreeSlots() int {
 	n := 0
 	for i := range c.ops {

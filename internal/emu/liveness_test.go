@@ -10,6 +10,7 @@ package emu_test
 // proposal distribution's angle.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -111,12 +112,23 @@ func TestLivenessBranchSuccessorsDisagree(t *testing.T) {
 	}
 }
 
-// TestLivenessSzpOnlySelection: a consumer that reads only ZF downgrades
-// its producer to the reduced szp-only path (CF/OF arithmetic skipped),
-// observably identical to the full path.
-func TestLivenessSzpOnlySelection(t *testing.T) {
-	runDifferential(t, "subq rsi, rax\nje .L0\naddq 1, rax\n.L0:\nxorq rdx, rdx", 400)
-	runDifferential(t, "addq rsi, rax\nsete cl\nandq rdx, rax", 400)
+// TestLivenessPartiallyLiveFlags: a consumer that reads only some of the
+// flags its producer writes (ZF here, CF/OF dead) keeps the producer's
+// whole flag write — flag liveness is one bit per slot — and both paths
+// agree on the flags the consumer and the exit observe.
+func TestLivenessPartiallyLiveFlags(t *testing.T) {
+	for _, src := range []string{
+		"subq rsi, rax\nje .L0\naddq 1, rax\n.L0:\nxorq rdx, rdx",
+		"addq rsi, rax\nsete cl\nandq rdx, rax",
+	} {
+		c := runDifferential(t, src, 400)
+		if live := c.LiveOuts()[0]; live != x64.ZF {
+			t.Errorf("%q: producer live-out %v, want ZF alone", src, live)
+		}
+		if c.SlotSelections()[0].NF {
+			t.Errorf("%q: partially live producer had its flag write suppressed", src)
+		}
+	}
 }
 
 // TestLivenessAcrossPaddingAndPatch: liveness flows across UNUSED padding,
@@ -169,12 +181,7 @@ func TestLivenessAcrossPaddingAndPatch(t *testing.T) {
 	for si, step := range steps {
 		step()
 		fresh := emu.Compile(p)
-		pk, fk := c.SlotKinds(), fresh.SlotKinds()
-		for s := range pk {
-			if pk[s] != fk[s] {
-				t.Fatalf("step %d: slot %d dispatch code %d patched vs %d fresh\n%s", si, s, pk[s], fk[s], p)
-			}
-		}
+		sameSelection(t, c, fresh, fmt.Sprintf("step %d", si))
 		for i := 0; i < 100; i++ {
 			runBoth(t, mi, mc, p, c, randomSnapshot(rng), "padding patch step")
 			if t.Failed() {
@@ -224,12 +231,7 @@ func TestSaveRestoreSlotMatchesFreshCompile(t *testing.T) {
 			t.Fatalf("step %d: latency %v after restore, fresh %v\n%s",
 				step, c.StaticLatency(), fresh.StaticLatency(), p)
 		}
-		rk, fk := c.SlotKinds(), fresh.SlotKinds()
-		for s := range rk {
-			if rk[s] != fk[s] {
-				t.Fatalf("step %d: slot %d code %d restored vs %d fresh\n%s", step, s, rk[s], fk[s], p)
-			}
-		}
+		sameSelection(t, c, fresh, fmt.Sprintf("step %d", step))
 		if step%10 == 0 {
 			runBoth(t, mi, mc, p, c, randomSnapshot(rng), "save/restore")
 			if t.Failed() {
@@ -338,12 +340,7 @@ func TestRecompileMatchesFresh(t *testing.T) {
 	if c.StaticLatency() != fresh.StaticLatency() {
 		t.Fatalf("latency %v after Recompile, fresh %v", c.StaticLatency(), fresh.StaticLatency())
 	}
-	rk, fk := c.SlotKinds(), fresh.SlotKinds()
-	for i := range rk {
-		if rk[i] != fk[i] {
-			t.Fatalf("slot %d code %d recompiled vs %d fresh", i, rk[i], fk[i])
-		}
-	}
+	sameSelection(t, c, fresh, "recompiled")
 	mi, mc := emu.New(), emu.New()
 	for i := 0; i < 200; i++ {
 		runBoth(t, mi, mc, p, c, randomSnapshot(rng), "recompile")

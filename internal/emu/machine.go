@@ -26,10 +26,11 @@
 //     interpreting fallback (GenericDispatches counts them). A backward
 //     liveness pass
 //     additionally suppresses the flag computation of slots whose writes
-//     no condition consumer or exit can observe, and — in the same walk,
-//     over packed 16-bit GPR/XMM sets — the register stores of slots none
-//     of whose written registers is live-out, re-selecting variants
-//     incrementally as patches shift liveness (see liveness.go).
+//     no condition consumer or exit can observe (the nf bit), and — in the
+//     same walk, over packed 16-bit GPR/XMM sets — the register stores of
+//     slots none of whose written registers is live-out (the nr bit and
+//     the mkDead* codes), re-selecting both incrementally as patches shift
+//     liveness (see liveness.go).
 //
 // Both forms agree on every observable (Outcome counters, registers, flags,
 // memory, definedness); randomized differential tests enforce this. Under

@@ -11,6 +11,7 @@ package emu_test
 // the proposal distribution's angle (the FzRegLiveness menu family).
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -209,30 +210,10 @@ func TestCompileLiveExitGens(t *testing.T) {
 		// stale values by design.
 		mi, mc := emu.New(), emu.New()
 		for i := 0; i < 200; i++ {
-			snap := randomSnapshot(rng)
-			mi.LoadSnapshot(snap)
-			oi := mi.Run(p)
-			mc.LoadSnapshotCached(snap)
-			oc := mc.RunCompiled(cl)
-			if oi != oc {
-				t.Fatalf("CompileLive(%q): outcomes diverged: interp %+v compiled %+v", tc.src, oi, oc)
-			}
-			for r := x64.Reg(0); r < x64.NumGPR; r++ {
-				if tc.liveG>>r&1 == 0 {
-					continue
-				}
-				if mi.Regs[r] != mc.Regs[r] || mi.RegDef>>r&1 != mc.RegDef>>r&1 {
-					t.Fatalf("CompileLive(%q): live %v diverged: interp %#x compiled %#x",
-						tc.src, r, mi.Regs[r], mc.Regs[r])
-				}
-			}
-			for r := 0; r < x64.NumXMM; r++ {
-				if tc.liveX>>r&1 == 0 {
-					continue
-				}
-				if mi.Xmm[r] != mc.Xmm[r] || mi.XmmDef>>r&1 != mc.XmmDef>>r&1 {
-					t.Fatalf("CompileLive(%q): live xmm%d diverged", tc.src, r)
-				}
+			runBothLive(t, mi, mc, p, cl, randomSnapshot(rng), tc.liveG, tc.liveX,
+				fmt.Sprintf("CompileLive(%q)", tc.src))
+			if t.Failed() {
+				t.FailNow()
 			}
 		}
 	}
@@ -286,13 +267,7 @@ func TestRegCountersMatchScanUnderPatchStorm(t *testing.T) {
 			t.Fatalf("step %d: counters %d/%d patched vs %d/%d fresh\n%s",
 				step, free, writing, ff, fw, p)
 		}
-		pk, fk := c.SlotKinds(), fresh.SlotKinds()
-		for s := range pk {
-			if pk[s] != fk[s] {
-				t.Fatalf("step %d: slot %d dispatch code %d patched vs %d fresh\n%s",
-					step, s, pk[s], fk[s], p)
-			}
-		}
+		sameSelection(t, c, fresh, fmt.Sprintf("step %d", step))
 	}
 }
 
