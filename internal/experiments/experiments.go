@@ -3,7 +3,8 @@
 // figure to an io.Writer; cmd/stoke-bench and the root bench_test.go are
 // thin wrappers around these functions. Budgets are laptop-scale by
 // default (the paper used 40 dual-core machines for 30 minutes per phase);
-// EXPERIMENTS.md records how the shapes compare.
+// BENCH_search.json records the synthesis hit rates and proof costs
+// measured at such budgets.
 package experiments
 
 import (

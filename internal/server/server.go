@@ -142,7 +142,9 @@ func toWire(ev stoke.Event) wireEvent {
 		Proposal: ev.Proposal, Cost: ev.Cost, Tests: ev.Tests,
 		ElapsedMS: ev.Elapsed.Milliseconds(),
 	}
-	if ev.Kind == stoke.EventVerdict {
+	// A verdict event carries the validator's answer; a warm start carries
+	// the proof of its substituted rewrite.
+	if ev.Kind == stoke.EventVerdict || ev.Kind == stoke.EventWarmStart {
 		w.Verdict = ev.Verdict.String()
 	}
 	return w

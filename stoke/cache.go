@@ -41,7 +41,8 @@ func liveOutFor(k Kernel) verify.LiveOut {
 	}
 }
 
-// cacheWarm is the near-miss warm-start material carried into a search.
+// cacheWarm is the near-miss warm-start material carried into a search;
+// optimize proves start before deciding whether to synthesize.
 type cacheWarm struct {
 	start   *x64.Program       // cached rewrite, constants re-literalised, mapped back
 	profile []int64            // learned testcase-rejection counters
@@ -124,9 +125,11 @@ func (e *Engine) cacheProbe(k Kernel, st *settings, form *canon.Form,
 	}
 
 	// Near miss: the cheapest entry of the fingerprint class, its
-	// constants re-literalised to the submission's, mapped back. It only
-	// seeds chains — every candidate still clears eval and the validator —
-	// so a bad substitution costs warm-start value, not correctness.
+	// constants re-literalised to the submission's, mapped back. optimize
+	// proves it against the target before any chain runs: Equal makes it
+	// the proven incumbent and skips synthesis, anything else leaves it one
+	// more optimization start. It is never served, so a bad substitution
+	// costs search time, not correctness.
 	near := st.store.Near(form.FP.Hex())
 	sort.Slice(near, func(i, j int) bool { return near[i].CostH < near[j].CostH })
 	for _, entry := range near {

@@ -5,9 +5,13 @@ import (
 	"errors"
 	"math/rand"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/canon"
 	"repro/internal/emu"
+	"repro/internal/perf"
 	"repro/internal/store"
 	"repro/internal/testgen"
 	"repro/internal/verify"
@@ -166,47 +170,202 @@ func constKernel(name string, c int64) Kernel {
 	return NewKernel(name, p, WithInputs(RDI), WithOutput64(RAX))
 }
 
-// TestNearMissWarmStart: a fingerprint-class entry with different
-// constants warm-starts the search (observed via the EventWarmStart
-// event) and the run still verifies.
-func TestNearMissWarmStart(t *testing.T) {
-	s, _ := store.Open("", 16)
-	e := NewEngine(EngineConfig{Workers: 4})
-	defer e.Close()
-	base := []Option{
+// nearMissOpts are the budgets of the near-miss tests: 2 synthesis and 2
+// optimization chains of 40000 proposals each.
+func nearMissOpts(s *store.Store) []Option {
+	return []Option{
 		WithRewriteStore(s),
 		WithSeed(31),
 		WithChains(2, 2),
 		WithBudgets(40000, 40000),
 		WithEll(8),
 	}
+}
+
+// phaseEvents counts a run's phase-start and phase-end events per phase
+// and records its warm-start events.
+type phaseEvents struct {
+	starts, ends map[string]int
+	warm         []Event
+}
+
+func (p *phaseEvents) observe(ev Event) {
+	switch ev.Kind {
+	case EventPhaseStart:
+		p.starts[ev.Phase]++
+	case EventPhaseEnd:
+		p.ends[ev.Phase]++
+	case EventWarmStart:
+		p.warm = append(p.warm, ev)
+	}
+}
+
+func newPhaseEvents() *phaseEvents {
+	return &phaseEvents{starts: map[string]int{}, ends: map[string]int{}}
+}
+
+// TestNearMissWarmStart: a fingerprint-class entry with different
+// constants warm-starts the search. Its constant-substituted rewrite is
+// proven Equal before any chain runs, so the run skips synthesis: no
+// synthesis phase events, no synthesis time, and only the optimization
+// budget (2 chains per start, target and substitution) is spent. The
+// pinned rewrite is also what this seed returns when synthesis runs first,
+// so skipping it saves time without moving the answer.
+func TestNearMissWarmStart(t *testing.T) {
+	s, _ := store.Open("", 16)
+	e := NewEngine(EngineConfig{Workers: 4})
+	defer e.Close()
+	base := nearMissOpts(s)
 
 	if _, err := e.Optimize(context.Background(), constKernel("c42", 42), base...); err != nil {
 		t.Fatal(err)
 	}
 	launched := e.SearchesLaunched()
 
-	var sawWarm bool
+	evs := newPhaseEvents()
 	rep, err := e.Optimize(context.Background(), constKernel("c99", 99),
-		append(base, WithObserver(func(ev Event) {
-			if ev.Kind == EventWarmStart {
-				sawWarm = true
-			}
-		}))...)
+		append(base, WithObserver(evs.observe))...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.CacheHit {
 		t.Fatal("different constants must not be an exact hit")
 	}
-	if !sawWarm {
-		t.Fatal("fingerprint-class near-miss did not warm-start the search")
+	if len(evs.warm) != 1 {
+		t.Fatalf("fingerprint-class near-miss: %d warm-start events, want 1", len(evs.warm))
+	}
+	if got := evs.warm[0].Verdict; got != verify.Equal {
+		t.Fatalf("substitution verdict %v, want equal", got)
+	}
+	if got := evs.warm[0].String(); !strings.Contains(got, "substitution equal") {
+		t.Fatalf("warm-start event %q does not print the substitution's verdict", got)
 	}
 	if got := e.SearchesLaunched(); got != launched+1 {
 		t.Fatalf("near-miss must still search: %d launches, want %d", got, launched+1)
 	}
-	if rep.Verdict == verify.NotEqual {
-		t.Fatalf("warm-started run returned an unvalidated rewrite:\n%s", rep.Rewrite)
+	if evs.starts["synthesis"] != 0 || evs.ends["synthesis"] != 0 {
+		t.Fatalf("proven substitution still synthesized: %d starts, %d ends",
+			evs.starts["synthesis"], evs.ends["synthesis"])
+	}
+	if evs.starts["optimization"] == 0 || evs.starts["optimization"] != evs.ends["optimization"] {
+		t.Fatalf("optimization phase events %d starts, %d ends",
+			evs.starts["optimization"], evs.ends["optimization"])
+	}
+	if rep.SynthTime != 0 || rep.SynthesisSucceeded {
+		t.Fatalf("skipped synthesis reports time %v, succeeded %v", rep.SynthTime, rep.SynthesisSucceeded)
+	}
+	if want := int64(2 * 2 * 40000); rep.Refinements != 0 || rep.Stats.Proposals != want {
+		t.Fatalf("proposals %d with %d refinements, want the optimization budget %d alone",
+			rep.Stats.Proposals, rep.Refinements, want)
+	}
+	// The substitution proof is the run's only SAT call: the final
+	// rewrite is the substitution, answered from the verdict memo.
+	if rep.Verdict != verify.Equal || rep.Proofs.SATCalls != 1 || len(rep.Proofs.Times) != 1 {
+		t.Fatalf("verdict %v with %d SAT calls (%d samples), want equal from the one substitution proof",
+			rep.Verdict, rep.Proofs.SATCalls, len(rep.Proofs.Times))
+	}
+	const want = "  movq rdi, rax\n  addq 99, rax\n  addq 99, rax\n"
+	if got := rep.Rewrite.String(); got != want {
+		t.Fatalf("fixed-seed near-miss rewrite moved:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// decAndKernel computes rax := rdi & (rdi - c), p01's shape for c = 1.
+func decAndKernel(name string, c int64) Kernel {
+	p := &x64.Program{Insts: []x64.Inst{
+		x64.MakeInst(x64.MOV, x64.R64(x64.RDI), x64.R64(x64.RAX)),
+		x64.MakeInst(x64.SUB, x64.Imm(c, 8), x64.R64(x64.RAX)),
+		x64.MakeInst(x64.AND, x64.R64(x64.RDI), x64.R64(x64.RAX)),
+	}}
+	return NewKernel(name, p, WithInputs(RDI), WithOutput64(RAX))
+}
+
+// putDecEntry stores x & (x-1) with a constant-free `decq` rewrite.
+func putDecEntry(t *testing.T, s *store.Store) {
+	t.Helper()
+	k := decAndKernel("dec1", 1)
+	form := canon.Canonicalize(k.Target, liveOutFor(k))
+	rewrite, ok := form.ToCanon(x64.MustParse(`
+  movq rdi, rax
+  decq rax
+  andq rdi, rax
+`))
+	if !ok {
+		t.Fatal("rewrite cannot be carried into canonical space")
+	}
+	if err := s.Put(&store.Entry{FP: form.FP.Hex(), Consts: form.Consts,
+		Target: form.Prog.String(), Rewrite: rewrite.String(), CostH: perf.H(rewrite)}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNearMissNotEqualRunsSynthesis: a near miss whose substituted
+// rewrite is not equivalent runs the full search, synthesis included. The
+// store holds the x & (x-1) entry with a `decq` rewrite, as a p01 search
+// leaves it: the rewrite carries no constant, so substituting the near
+// miss's constant leaves x & (x-1), which is wrong for x & (x-2).
+func TestNearMissNotEqualRunsSynthesis(t *testing.T) {
+	s, _ := store.Open("", 16)
+	putDecEntry(t, s)
+	e := NewEngine(EngineConfig{Workers: 2})
+	defer e.Close()
+	evs := newPhaseEvents()
+	rep, err := e.Optimize(context.Background(), decAndKernel("dec2", 2),
+		append(nearMissOpts(s), WithObserver(evs.observe))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs.warm) != 1 || evs.warm[0].Verdict != verify.NotEqual {
+		t.Fatalf("warm-start events %+v, want one with a not-equal substitution", evs.warm)
+	}
+	if evs.starts["synthesis"] != 1 || evs.ends["synthesis"] != 1 || rep.SynthTime == 0 {
+		t.Fatalf("refuted substitution skipped synthesis: %d starts, %d ends, time %v",
+			evs.starts["synthesis"], evs.ends["synthesis"], rep.SynthTime)
+	}
+	if min := int64(2*40000 + 2*2*40000); rep.Stats.Proposals < min {
+		t.Fatalf("proposals %d, want at least synthesis plus optimization (%d)", rep.Stats.Proposals, min)
+	}
+	if rep.Proofs.SATCalls < 2 {
+		t.Fatalf("%d SAT calls, want the substitution proof and the final one", rep.Proofs.SATCalls)
+	}
+	if rep.Verdict != verify.Equal {
+		t.Fatalf("full search ended %v:\n%s", rep.Verdict, rep.Rewrite)
+	}
+}
+
+// TestNearMissDeterministicAcrossPoolWidths: a near-miss run's report,
+// timings aside, is the same at engine pool widths 1 and 2, for an Equal
+// and a NotEqual substitution alike.
+func TestNearMissDeterministicAcrossPoolWidths(t *testing.T) {
+	coldRun := func(t *testing.T, e *Engine, s *store.Store) {
+		if _, err := e.Optimize(context.Background(), constKernel("c42", 42), nearMissOpts(s)...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plant := func(t *testing.T, _ *Engine, s *store.Store) { putDecEntry(t, s) }
+	for _, c := range []struct {
+		fill func(*testing.T, *Engine, *store.Store)
+		near Kernel
+	}{
+		{coldRun, constKernel("c99", 99)}, // substitution Equal
+		{plant, decAndKernel("dec2", 2)},  // substitution NotEqual
+	} {
+		run := func(workers int) Report {
+			s, _ := store.Open("", 16)
+			e := NewEngine(EngineConfig{Workers: workers})
+			defer e.Close()
+			c.fill(t, e, s)
+			rep, err := e.Optimize(context.Background(), c.near, nearMissOpts(s)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := *rep
+			r.SynthTime, r.OptTime, r.VerifyTime, r.Proofs.Times = 0, 0, 0, nil
+			return r
+		}
+		if a, b := run(1), run(2); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: near-miss report differs across pool widths:\n%+v\nvs\n%+v", c.near.Name, a, b)
+		}
 	}
 }
 

@@ -118,9 +118,15 @@
 // store returns the proven rewrite immediately — after replaying the
 // stored counterexample set plus freshly generated testcases through the
 // reference interpreter as revalidation — without launching a search
-// (Report.CacheHit, Engine.SearchesLaunched); a same-class near-miss
-// (equal skeleton, different constants) warm-starts the search from the
-// cached rewrite, its counterexamples and its rejection profile.
+// (Report.CacheHit, Engine.SearchesLaunched). A same-class near-miss
+// (equal skeleton, different constants) first proves the cached rewrite,
+// with its constants replaced by the submission's, against the target.
+// Proven Equal, it is the correct starting point that random synthesis
+// exists to find, so synthesis is skipped and the optimization chains start
+// from the target and the substitution. Otherwise the full search runs,
+// the substitution still seeding optimization chains. Either way the
+// cached counterexamples and rejection profile seed the search, and the
+// substitution is never served without that SAT proof.
 // WithCacheOnly turns Optimize into the synchronous probe a serving
 // front-end issues before queueing an async job (ErrCacheMiss on a cold
 // fingerprint).

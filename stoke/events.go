@@ -38,7 +38,10 @@ const (
 	EventCacheHit
 	// EventWarmStart reports a fingerprint-class near-miss: a cached
 	// rewrite for the same canonical skeleton (different constants)
-	// seeded the optimization chains, τ and the rejection profile.
+	// seeded the optimization chains, τ and the rejection profile. Its
+	// Verdict is the SAT proof of the constant-substituted rewrite against
+	// the target; when it is Equal, the run skips synthesis and emits no
+	// synthesis phase events.
 	EventWarmStart
 	// EventReplayKill reports a candidate refuted by replaying a banked
 	// counterexample through the compiled evaluator — a NotEqual
@@ -118,7 +121,8 @@ type Event struct {
 	// Tests is the testcase count after refinement (EventRefinement).
 	Tests int
 
-	// Verdict is the validator's answer (EventVerdict).
+	// Verdict is the validator's answer (EventVerdict), or the proof of
+	// a near miss's substituted start (EventWarmStart).
 	Verdict verify.Verdict
 
 	// Elapsed is the phase duration (EventPhaseEnd).
@@ -158,7 +162,8 @@ func (e Event) String() string {
 	case EventCacheHit:
 		return fmt.Sprintf("[%s] cache hit: proven rewrite served from the store", e.Kernel)
 	case EventWarmStart:
-		return fmt.Sprintf("[%s] near-miss warm start from the store (cost %.1f)", e.Kernel, e.Cost)
+		return fmt.Sprintf("[%s] near-miss warm start from the store (cost %.1f, substitution %v)",
+			e.Kernel, e.Cost, e.Verdict)
 	case EventReplayKill:
 		return fmt.Sprintf("[%s] replay kill: banked counterexample refuted the candidate without a proof", e.Kernel)
 	case EventGateDefer:

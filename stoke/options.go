@@ -221,9 +221,11 @@ func WithSharedProfile(enabled bool) Option {
 // probes the store: an exact fingerprint+constants hit returns the proven
 // rewrite immediately — after replaying the stored counterexample set and
 // this run's freshly generated testcases through the compiled evaluator as
-// revalidation — without launching a search; a fingerprint-class near-miss
+// revalidation — without launching a search. A fingerprint-class near-miss
 // (same canonical skeleton, different constants) warm-starts the
-// optimization chains, τ and the rejection profile from the cached entry.
+// optimization chains, τ and the rejection profile from the cached entry;
+// its constant-substituted rewrite is proven against the target first, and
+// a proven Equal skips the synthesis phase.
 // Every successfully verified run is written back. The same store may
 // serve any number of engines and runs concurrently.
 func WithRewriteStore(s *store.Store) Option {

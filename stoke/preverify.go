@@ -165,13 +165,7 @@ func (v *verifier) check(cand *x64.Program) checkOutcome {
 	}
 
 	// --- SAT proof. ---
-	res, dur := v.prove(cand)
-	v.rep.Proofs.SATCalls++
-	v.rep.Proofs.Times = append(v.rep.Proofs.Times, dur)
-	if res.Clauses > 0 {
-		v.rep.Proofs.Clauses = append(v.rep.Proofs.Clauses, res.Clauses)
-	}
-
+	res := v.sat(cand)
 	switch res.Verdict {
 	case verify.Equal, verify.Unsupported:
 		v.validated[key] = res.Verdict
@@ -201,6 +195,30 @@ func (v *verifier) check(cand *x64.Program) checkOutcome {
 	v.validated[key] = verify.NotEqual
 	v.bankCex(tc)
 	return checkOutcome{verdict: verify.NotEqual, tc: tc, refined: true}
+}
+
+// sat runs one SAT equivalence query and records it in the proof profile.
+func (v *verifier) sat(cand *x64.Program) verify.Result {
+	res, dur := v.prove(cand)
+	v.rep.Proofs.SATCalls++
+	v.rep.Proofs.Times = append(v.rep.Proofs.Times, dur)
+	if res.Clauses > 0 {
+		v.rep.Proofs.Clauses = append(v.rep.Proofs.Clauses, res.Clauses)
+	}
+	return res
+}
+
+// proveStart proves a near miss's substituted start before any chain runs.
+// It goes straight to SAT: bank replay would draw from bankRng and shift
+// every later replay. Only an Equal is memoized — a NotEqual folds no
+// counterexample into τ, so the candidate must stay free to be checked
+// (and refined on) like any other.
+func (v *verifier) proveStart(cand *x64.Program) verify.Verdict {
+	vd := v.sat(cand).Verdict
+	if vd == verify.Equal {
+		v.validated[cand.String()] = vd
+	}
+	return vd
 }
 
 // bankCex canonicalises a genuine counterexample input and merges it into

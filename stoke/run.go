@@ -77,13 +77,82 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 	}
 	pools := mcmc.PoolsFor(k.Target, sse)
 
+	// The verifier is built before any chain runs, because a near miss
+	// proves its substituted start before deciding whether to synthesize.
+	live := liveOutFor(k)
+	m := emu.New()
+
+	// incumbentH is the modelled cost (Equation 13 latency sum — what an
+	// eq-zero pool entry's search cost reduces to in the optimization
+	// phase, whose chains run at perfWeight 1; the gate below is only
+	// wired for that phase) of the best candidate proven Equal so far;
+	// the target, correct by construction, seeds it, and a proven
+	// near-miss start may lower it before any chain runs. The coordinator's
+	// cost-aware validation gate only spends SAT time on pool heads that
+	// strictly beat it: a tie is gated deliberately — equal-cost
+	// candidates cannot displace the incumbent in the final re-ranking,
+	// and proving them mid-search is exactly the SAT waste the gate
+	// exists to avoid. Their verdicts (and any counterexample broadcast
+	// they would have triggered) wait for the end-of-round validation
+	// loop, which is gated only by the verdict cache.
+	incumbentH := perf.H(k.Target)
+
+	// vrf is the verification pipeline in front of the solver: a verdict
+	// memo shared by the near-miss start proof, the mid-search validator
+	// and the end-of-round validation loop (a candidate proven Equal once
+	// never pays for a second proof; budget-exhausted Unknowns are NOT
+	// memoized, so later rounds can retry), banked-counterexample replay
+	// before any SAT call, the pre-verification gate, and per-query
+	// proof-cost samples.
+	bank := e.bank
+	if st.store != nil {
+		bank = st.store // a persistent store doubles as the bank
+	}
+	if !st.cexBank {
+		bank = nil
+	}
+	vrf := &verifier{
+		e: e, st: &st, k: k, m: m, rng: rng, rep: rep,
+		form:       form,
+		bank:       bank,
+		bankRng:    rand.New(rand.NewSource(st.seed + 424243)),
+		validated:  map[string]verify.Verdict{},
+		defers:     map[string]int{},
+		targetOps:  opcodeSet(k.Target),
+		curTests:   func() []testgen.Testcase { return tests },
+		incumbentH: func() float64 { return incumbentH },
+		prove: func(cand *x64.Program) (verify.Result, time.Duration) {
+			var res verify.Result
+			var vdur time.Duration
+			e.runTask(ctx, func() {
+				vStart := time.Now()
+				res = verify.Equivalent(ctx, k.Target, cand, live, st.verify)
+				vdur = time.Since(vStart)
+			})
+			rep.VerifyTime += vdur
+			return res, vdur
+		},
+	}
+
 	// A near-miss seeds τ with the cached entry's replayed counterexample
 	// set before any chain starts, so the search begins with the
-	// discriminating inputs a previous search had to discover.
+	// discriminating inputs a previous search had to discover. Its
+	// constant-substituted rewrite is proven against the target first:
+	// proven Equal, it is the correct starting point random synthesis
+	// exists to find, so synthesis is skipped and it becomes the proven
+	// incumbent. Anything else runs the full search.
+	warmProven := false
 	if warm != nil {
 		tests = append(tests[:len(tests):len(tests)], warm.tests...)
+		vd := vrf.proveStart(warm.start)
+		if vd == verify.Equal {
+			warmProven = true
+			if h := perf.H(warm.start); h < incumbentH {
+				incumbentH = h
+			}
+		}
 		e.emit(&st, Event{Kind: EventWarmStart, Kernel: k.Name,
-			Cost: warm.costH, Tests: len(tests)})
+			Cost: warm.costH, Tests: len(tests), Verdict: vd})
 	}
 
 	// The kernel-wide rejection profile: every chain's early terminations
@@ -128,53 +197,57 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 	}
 
 	// --- Synthesis phase (§4.4): correctness only, random starts, the
-	// chain group coordinated over a β ladder. ---
-	e.emit(&st, Event{Kind: EventPhaseStart, Kernel: k.Name, Phase: "synthesis"})
-	start := time.Now()
-	synthRuns := make([]*mcmc.Run, st.synthChains)
-	synthLadder := st.betaLadder(st.synthBeta, st.synthChains)
-	for i := range synthRuns {
-		i := i
-		params := mcmc.PaperParams
-		params.Ell = st.ell
-		params.Beta = synthLadder[i]
-		s := &mcmc.Sampler{
-			Params: params,
-			Pools:  pools,
-			Cost:   newCost(0),
-			Rng:    rand.New(rand.NewSource(st.seed + 1000 + int64(i))),
+	// chain group coordinated over a β ladder. A proven near-miss start
+	// skips it. ---
+	var synthResults []mcmc.Result
+	if !warmProven {
+		e.emit(&st, Event{Kind: EventPhaseStart, Kernel: k.Name, Phase: "synthesis"})
+		start := time.Now()
+		synthRuns := make([]*mcmc.Run, st.synthChains)
+		synthLadder := st.betaLadder(st.synthBeta, st.synthChains)
+		for i := range synthRuns {
+			i := i
+			params := mcmc.PaperParams
+			params.Ell = st.ell
+			params.Beta = synthLadder[i]
+			s := &mcmc.Sampler{
+				Params: params,
+				Pools:  pools,
+				Cost:   newCost(0),
+				Rng:    rand.New(rand.NewSource(st.seed + 1000 + int64(i))),
+			}
+			s.OnImprove = func(iter int64, c float64, p *x64.Program) {
+				e.emit(&st, Event{Kind: EventChainImproved, Kernel: k.Name,
+					Phase: "synthesis", Chain: i, Proposal: iter, Cost: c})
+			}
+			synthRuns[i] = s.Begin(s.RandomProgram(), st.synthProposals)
 		}
-		s.OnImprove = func(iter int64, c float64, p *x64.Program) {
-			e.emit(&st, Event{Kind: EventChainImproved, Kernel: k.Name,
-				Phase: "synthesis", Chain: i, Proposal: iter, Cost: c})
-		}
-		synthRuns[i] = s.Begin(s.RandomProgram(), st.synthProposals)
+		synthCoord := search.New(search.Config{
+			Seed:     st.seed + 71,
+			Exchange: st.tempering,
+			Tests:    len(tests),
+			Profile:  prof,
+			OnSwap: func(i, j int, ci, cj float64) {
+				e.emit(&st, Event{Kind: EventSwap, Kernel: k.Name,
+					Phase: "synthesis", Chain: i, Partner: j, Cost: ci})
+			},
+		}, synthRuns)
+		// Aggregate chain-execution time, not wall-clock: on a shared pool a
+		// kernel's wall-clock includes every other kernel's queueing.
+		synthCoord.Drive(ctx, func(bodies []func()) {
+			rep.SynthTime += e.runBatch(ctx, bodies)
+		})
+		rep.Swaps += synthCoord.Swaps()
+		synthResults = synthCoord.Results()
+		e.emit(&st, Event{Kind: EventPhaseEnd, Kernel: k.Name, Phase: "synthesis",
+			Elapsed: time.Since(start), RegFree: regFreeFraction(synthResults)})
 	}
-	synthCoord := search.New(search.Config{
-		Seed:     st.seed + 71,
-		Exchange: st.tempering,
-		Tests:    len(tests),
-		Profile:  prof,
-		OnSwap: func(i, j int, ci, cj float64) {
-			e.emit(&st, Event{Kind: EventSwap, Kernel: k.Name,
-				Phase: "synthesis", Chain: i, Partner: j, Cost: ci})
-		},
-	}, synthRuns)
-	// Aggregate chain-execution time, not wall-clock: on a shared pool a
-	// kernel's wall-clock includes every other kernel's queueing.
-	synthCoord.Drive(ctx, func(bodies []func()) {
-		rep.SynthTime += e.runBatch(ctx, bodies)
-	})
-	rep.Swaps += synthCoord.Swaps()
-	synthResults := synthCoord.Results()
-	e.emit(&st, Event{Kind: EventPhaseEnd, Kernel: k.Name, Phase: "synthesis",
-		Elapsed: time.Since(start), RegFree: regFreeFraction(synthResults)})
 
 	// Candidate starting points for optimization: the target, any
-	// near-miss warm start from the rewrite store (possibly incorrect for
-	// the new constants — chains funnel every candidate through eval and
-	// the validator, so it can only help, never mislead), plus every
-	// synthesized zero-cost rewrite.
+	// near-miss warm start from the rewrite store (proven above, or
+	// possibly incorrect for the new constants — chains funnel every
+	// candidate through eval and the validator, so an unproven start can
+	// only help, never mislead), plus every synthesized zero-cost rewrite.
 	starts := []*x64.Program{k.Target}
 	if warm != nil {
 		starts = append(starts, warm.start)
@@ -207,13 +280,6 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 	// refinement (§4.1): run the chains, validate the fastest surviving
 	// candidate, and on a genuine counterexample fold it into τ and run
 	// the optimization again over the refined search space. ---
-	live := verify.LiveOut{
-		GPRs:  k.Spec.LiveOut.GPRs,
-		Xmms:  k.Spec.LiveOut.Xmms,
-		Flags: k.Spec.LiveOut.Flags,
-		Mem:   k.LiveMem,
-	}
-	m := emu.New()
 	chainSeed := st.seed + 2000
 	var best *x64.Program
 	verdict := verify.Equal
@@ -229,60 +295,10 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 	// testcases, so stale candidates are safe to carry).
 	var allCandidates []*x64.Program
 
-	// incumbentH is the modelled cost (Equation 13 latency sum — what an
-	// eq-zero pool entry's search cost reduces to in the optimization
-	// phase, whose chains run at perfWeight 1; the gate below is only
-	// wired for that phase) of the best candidate proven Equal so far;
-	// the target, correct by construction, seeds it. The coordinator's
-	// cost-aware validation gate only spends SAT time on pool heads that
-	// strictly beat it: a tie is gated deliberately — equal-cost
-	// candidates cannot displace the incumbent in the final re-ranking,
-	// and proving them mid-search is exactly the SAT waste the gate
-	// exists to avoid. Their verdicts (and any counterexample broadcast
-	// they would have triggered) wait for the end-of-round validation
-	// loop, which is gated only by the verdict cache.
-	incumbentH := perf.H(k.Target)
-
-	// vrf is the verification pipeline in front of the solver: a verdict
-	// memo shared by the mid-search validator and the end-of-round
-	// validation loop (a candidate proven Equal at a barrier never pays
-	// for a second proof; budget-exhausted Unknowns are NOT memoized, so
-	// later rounds can retry), banked-counterexample replay before any SAT
-	// call, the pre-verification gate, and per-query proof-cost samples.
-	bank := e.bank
-	if st.store != nil {
-		bank = st.store // a persistent store doubles as the bank
-	}
-	if !st.cexBank {
-		bank = nil
-	}
-	vrf := &verifier{
-		e: e, st: &st, k: k, m: m, rng: rng, rep: rep,
-		form:       form,
-		bank:       bank,
-		bankRng:    rand.New(rand.NewSource(st.seed + 424243)),
-		validated:  map[string]verify.Verdict{},
-		defers:     map[string]int{},
-		targetOps:  opcodeSet(k.Target),
-		curTests:   func() []testgen.Testcase { return tests },
-		incumbentH: func() float64 { return incumbentH },
-		prove: func(cand *x64.Program) (verify.Result, time.Duration) {
-			var res verify.Result
-			var vdur time.Duration
-			e.runTask(ctx, func() {
-				vStart := time.Now()
-				res = verify.Equivalent(ctx, k.Target, cand, live, st.verify)
-				vdur = time.Since(vStart)
-			})
-			rep.VerifyTime += vdur
-			return res, vdur
-		},
-	}
-
 	for round := 0; ; round++ {
 		e.emit(&st, Event{Kind: EventPhaseStart, Kernel: k.Name,
 			Phase: "optimization", Round: round})
-		start = time.Now()
+		start := time.Now()
 		budget := st.optProposals
 		if round > 0 {
 			budget /= 2 // refinement rounds re-optimize with a lighter budget
