@@ -29,11 +29,11 @@ import (
 // benchProfile keeps figure regeneration fast under `go test -bench`: tiny
 // search budgets and a capped validator budget (hard proofs answer Unknown
 // rather than running for minutes).
-var benchProfile = experiments.Profile{
-	Seed: 1, SynthChains: 1, OptChains: 1,
+var benchProfile = experiments.Profile{Seed: 1, Profile: stoke.Profile{
+	SynthChains: 1, OptChains: 1,
 	SynthProposals: 5000, OptProposals: 10000, Ell: 14,
-	VerifyBudget: 5000,
-}
+	VerifyBudget: 5000, VerifyMaxTerms: 100000,
+}}
 
 // --- Figure benchmarks ---------------------------------------------------
 

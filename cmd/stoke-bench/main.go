@@ -7,9 +7,7 @@
 //	stoke-bench -profile full   # larger search budgets
 //	stoke-bench -eval-baseline BENCH_eval.json     # evaluation throughput A/B
 //	stoke-bench -check BENCH_eval.json             # fail on >35% ratio regression vs the committed baseline
-//	stoke-bench -search-baseline BENCH_search.json # tempering vs independent A/B
-//	stoke-bench -cache-baseline BENCH_search.json  # rewrite-store cold vs served hit
-//	stoke-bench -verify-baseline BENCH_search.json # cex-bank replay + gate vs plain SAT calls
+//	stoke-bench -search-baseline BENCH_search.json # synthesis hit rate, coordinated vs independent chains
 //
 // Output is plain text, one section per figure, written to stdout.
 package main
@@ -40,16 +38,6 @@ func main() {
 		searchChains  = flag.Int("search-chains", 4, "synthesis chains per search-baseline run")
 		searchProp    = flag.Int64("search-proposals", 150000, "per-chain proposal budget per search-baseline run")
 		searchEll     = flag.Int("search-ell", 20, "sequence length for search-baseline runs")
-
-		cacheOut     = flag.String("cache-baseline", "", "fold the rewrite-store baseline (cold search vs served cache hit) into this search-baseline JSON and exit")
-		cacheKernels = flag.String("cache-kernels", strings.Join(experiments.DefaultCacheKernels, ","), "comma-separated kernels for -cache-baseline")
-		cacheHits    = flag.Int("cache-hits", 20, "served resubmissions measured per -cache-baseline kernel")
-
-		verifyOut     = flag.String("verify-baseline", "", "fold the verification-cost baseline (SAT calls vs bank replay kills and gate deferrals) into this search-baseline JSON and exit")
-		verifyKernels = flag.String("verify-kernels", strings.Join(experiments.DefaultVerifyKernels, ","), "comma-separated kernels for the verification-cost rows (empty disables the -search-baseline ride-along)")
-		verifySeeds   = flag.Int("verify-seeds", 2, "seeds per verification-baseline kernel and mode")
-		verifyProp    = flag.Int64("verify-proposals", 60000, "optimization proposal budget per verification-baseline run")
-		verifyTests   = flag.Int("verify-tests", 4, "initial testcases per verification-baseline run (small, so refinement feeds the bank)")
 	)
 	flag.Parse()
 
@@ -120,58 +108,6 @@ func main() {
 			fail(err)
 		}
 		fmt.Print(experiments.FormatSearchBaseline(base))
-		// The verification-cost rows ride along in the same JSON: SAT calls
-		// versus bank replay kills and gate deferrals, with proof-time
-		// percentiles, bank off against on.
-		if *verifyKernels != "" {
-			vnames := strings.Split(*verifyKernels, ",")
-			for i := range vnames {
-				vnames[i] = strings.TrimSpace(vnames[i])
-			}
-			vruns, err := experiments.WriteVerifyBaseline(ctx, *searchOut, vnames,
-				*verifySeeds, *verifyProp, *verifyTests)
-			if err != nil {
-				fail(err)
-			}
-			fmt.Print(experiments.FormatVerifyBaseline(vruns))
-		}
-		return
-	}
-
-	// The verification-cost baseline A/Bs the counterexample bank and
-	// pre-verification gate against plain per-candidate SAT calls,
-	// recorded as the verify_runs rows of BENCH_search.json.
-	if *verifyOut != "" {
-		ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer cancel()
-		names := strings.Split(*verifyKernels, ",")
-		for i := range names {
-			names[i] = strings.TrimSpace(names[i])
-		}
-		vruns, err := experiments.WriteVerifyBaseline(ctx, *verifyOut, names,
-			*verifySeeds, *verifyProp, *verifyTests)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(experiments.FormatVerifyBaseline(vruns))
-		return
-	}
-
-	// The rewrite-store baseline measures what the content-addressed cache
-	// buys: cold proving cost against served hit latency, recorded as the
-	// cache_runs rows of BENCH_search.json.
-	if *cacheOut != "" {
-		ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer cancel()
-		names := strings.Split(*cacheKernels, ",")
-		for i := range names {
-			names[i] = strings.TrimSpace(names[i])
-		}
-		runs, err := experiments.WriteCacheBaseline(ctx, *cacheOut, names, *cacheHits)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(experiments.FormatCacheBaseline(runs))
 		return
 	}
 

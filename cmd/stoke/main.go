@@ -36,7 +36,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed")
 		profile  = flag.String("profile", "quick", "search budget profile (quick or full)")
 		progress = flag.Bool("progress", false, "stream search progress events to stderr")
-		indep    = flag.Bool("independent", false, "disable cross-chain coordination (replica exchange, shared pruning, warm-started testcase profiles)")
+		indep    = flag.Bool("independent", false, "run the paper's independent chains: no replica exchange or warm-started testcase profiles (stagnant chains still reseed from the shared pool)")
 		target   = flag.String("target", "", "assembly file to optimize instead of a benchmark")
 		inRegs   = flag.String("in", "", "comma-separated 64-bit input registers for -target")
 		outRegs  = flag.String("out", "rax", "comma-separated 64-bit output registers for -target")
@@ -66,7 +66,7 @@ func main() {
 		stoke.WithSeed(*seed),
 	}
 	if *indep {
-		opts = append(opts, stoke.WithTempering(false), stoke.WithSharedProfile(false))
+		opts = append(opts, stoke.WithIndependentChains())
 	}
 	if *progress {
 		opts = append(opts, stoke.WithObserver(func(ev stoke.Event) {

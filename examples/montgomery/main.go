@@ -27,7 +27,7 @@ import (
 func main() {
 	proposals := flag.Int64("proposals", 300000, "optimization proposals per chain")
 	timeout := flag.Duration("timeout", 10*time.Minute, "wall-clock cap; expiry returns a partial result")
-	independent := flag.Bool("independent", false, "disable the cross-chain coordinator (no replica exchange or shared pruning)")
+	independent := flag.Bool("independent", false, "run the paper's independent chains: no replica exchange or shared testcase profile (stagnant chains still reseed from the shared pool)")
 	progress := flag.Bool("progress", false, "stream coordination events (swaps, prunes, refinements)")
 	flag.Parse()
 
@@ -55,8 +55,9 @@ func main() {
 		stoke.WithChains(2, 4),
 		stoke.WithBudgets(50000, *proposals),
 		stoke.WithEll(30),
-		stoke.WithTempering(!*independent),
-		stoke.WithSharedProfile(!*independent),
+	}
+	if *independent {
+		opts = append(opts, stoke.WithIndependentChains())
 	}
 	if *progress {
 		opts = append(opts, stoke.WithObserver(func(ev stoke.Event) {

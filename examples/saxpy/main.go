@@ -41,8 +41,7 @@ func main() {
 		stoke.WithSeed(9),
 		stoke.WithChains(1, 4),
 		stoke.WithBudgets(20000, *proposals),
-		stoke.WithEll(24),
-		stoke.WithSSE(true)) // vector opcodes in the proposal distribution
+		stoke.WithEll(24)) // the kernel enables vector opcodes itself (Kernel.SSE)
 	if err != nil {
 		log.Fatal(err)
 	}

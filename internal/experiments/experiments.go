@@ -2,9 +2,11 @@
 // evaluation (§6). Each generator writes a plain-text rendering of the
 // figure to an io.Writer; cmd/stoke-bench and the root bench_test.go are
 // thin wrappers around these functions. Budgets are laptop-scale by
-// default (the paper used 40 dual-core machines for 30 minutes per phase);
-// BENCH_search.json records the synthesis hit rates and proof costs
-// measured at such budgets.
+// default (the paper used 40 dual-core machines for 30 minutes per phase).
+// Two measurement harnesses ride along: the evaluation-throughput baseline
+// (BENCH_eval.json, evalbench.go) and the synthesis hit rates of
+// coordinated against independent chains (BENCH_search.json,
+// searchbench.go).
 package experiments
 
 import (
@@ -26,57 +28,29 @@ import (
 	"repro/stoke"
 )
 
-// Profile scales search budgets.
+// Profile is a stoke budget preset plus the seed a figure runs at.
 type Profile struct {
-	Seed           int64
-	SynthChains    int
-	OptChains      int
-	SynthProposals int64
-	OptProposals   int64
-	Ell            int
-
-	// VerifyBudget caps SAT conflicts per validation query (0 = the
-	// validator default). Large kernels can spend minutes per proof at
-	// the default; bench harnesses cap it and accept Unknown verdicts.
-	VerifyBudget int64
+	stoke.Profile
+	Seed int64
 }
 
 // Quick is the profile used by the benchmark harness: seconds per kernel.
 // It is deliberately lighter than stoke.Quick (the CLI default) — the
-// harness runs 28 kernels per suite and caps verification.
-var Quick = Profile{
-	Seed: 1, SynthChains: 2, OptChains: 2,
+// harness runs 28 kernels per suite and caps verification, so large
+// kernels answer Unknown instead of spending minutes per proof.
+var Quick = Profile{Seed: 1, Profile: stoke.Profile{
+	Name:        "quick",
+	SynthChains: 2, OptChains: 2,
 	SynthProposals: 80000, OptProposals: 120000, Ell: 20,
-	VerifyBudget: 100000,
-}
+	VerifyBudget: 100000, VerifyMaxTerms: 100000,
+}}
 
-// Full spends roughly a minute per kernel; its budgets come from
-// stoke.Full so `stoke -profile full` and `stoke-bench -profile full`
-// cannot drift apart.
-var Full = Profile{
-	Seed:           1,
-	SynthChains:    stoke.Full.SynthChains,
-	OptChains:      stoke.Full.OptChains,
-	SynthProposals: stoke.Full.SynthProposals,
-	OptProposals:   stoke.Full.OptProposals,
-	Ell:            stoke.Full.Ell,
-}
+// Full spends roughly a minute per kernel: stoke.Full, so `stoke -profile
+// full` and `stoke-bench -profile full` cannot drift apart.
+var Full = Profile{Seed: 1, Profile: stoke.Full}
 
 func (p Profile) options() []stoke.Option {
-	opts := []stoke.Option{
-		stoke.WithSeed(p.Seed),
-		stoke.WithChains(p.SynthChains, p.OptChains),
-		stoke.WithBudgets(p.SynthProposals, p.OptProposals),
-		stoke.WithEll(p.Ell),
-	}
-	if p.VerifyBudget > 0 {
-		cfg := verify.DefaultConfig
-		cfg.Budget = p.VerifyBudget
-		// Cheap verification profile: also cap formula size.
-		cfg.MaxTerms = 100000
-		opts = append(opts, stoke.WithVerify(cfg))
-	}
-	return opts
+	return []stoke.Option{stoke.WithProfile(p.Profile), stoke.WithSeed(p.Seed)}
 }
 
 // KernelRun is one kernel's outcome, shared by Figures 10 and 12.

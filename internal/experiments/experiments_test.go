@@ -7,13 +7,14 @@ import (
 	"testing"
 
 	"repro/internal/x64"
+	"repro/stoke"
 )
 
 // tiny is a budget profile for tests: fractions of a second per kernel.
-var tiny = Profile{
-	Seed: 3, SynthChains: 1, OptChains: 1,
+var tiny = Profile{Seed: 3, Profile: stoke.Profile{
+	SynthChains: 1, OptChains: 1,
 	SynthProposals: 4000, OptProposals: 6000, Ell: 12,
-}
+}}
 
 func TestFig01(t *testing.T) {
 	var buf bytes.Buffer

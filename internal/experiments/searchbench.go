@@ -53,18 +53,6 @@ type SearchBaseline struct {
 	// hit-rate, on mean proposals to zero cost.
 	TemperingWins map[string]bool `json:"tempering_wins"`
 	WinCount      int             `json:"win_count"`
-
-	// Cache holds the rewrite-store baseline: cold search cost versus
-	// served cache-hit latency per kernel (see cachebench.go).
-	Cache []CacheRun `json:"cache_runs,omitempty"`
-
-	// Verify holds the verification-cost baseline: SAT calls, bank replay
-	// kills, gate deferrals and proof-time percentiles per kernel, with
-	// the bank and gate off versus on (see verifybench.go).
-	// VerifyVerdictsMatch records the acceptance invariant that both modes
-	// reached identical final verdicts on every kernel and seed.
-	Verify              []VerifyRun `json:"verify_runs,omitempty"`
-	VerifyVerdictsMatch bool        `json:"verify_verdicts_match,omitempty"`
 }
 
 // DefaultSearchKernels are the measured profiles: three synthesis
@@ -104,8 +92,6 @@ func MeasureSearchBaseline(ctx context.Context, names []string, seeds, chains in
 					stoke.WithChains(chains, 0),
 					stoke.WithBudgets(proposals, 1),
 					stoke.WithEll(ell),
-					stoke.WithTempering(mode == "tempering"),
-					stoke.WithSharedProfile(mode == "tempering"),
 					stoke.WithObserver(func(ev stoke.Event) {
 						if ev.Kind == stoke.EventChainImproved && ev.Cost == 0 {
 							mu.Lock()
@@ -115,6 +101,9 @@ func MeasureSearchBaseline(ctx context.Context, names []string, seeds, chains in
 							mu.Unlock()
 						}
 					}),
+				}
+				if mode == "independent" {
+					opts = append(opts, stoke.WithIndependentChains())
 				}
 				rep, err := e.Optimize(ctx, b.Kernel, opts...)
 				if err != nil {

@@ -50,11 +50,13 @@ type cacheWarm struct {
 	costH   float64
 }
 
-// replayCex rebuilds a runnable testcase from a stored counterexample
-// register state: a shape-correct random input with every non-pointer
-// register (and the XMM and flag state) overridden, exactly like live
-// refinement converts validator counterexamples. A state FromInput cannot
-// run (the target faults on it) is dropped.
+// replayCex rebuilds a runnable testcase from a counterexample register
+// state, stored or fresh from the validator (cexTestcase): a shape-correct
+// random input with every non-pointer register — undefined ones included,
+// whose junk values the counterexample may rely on — and the XMM and flag
+// state overridden. The stack pointer is always a pointer: a
+// counterexample rsp points nowhere runnable. A state FromInput cannot run
+// (the target faults on it) is dropped.
 func replayCex(k Kernel, m *emu.Machine, rng *rand.Rand, cx store.Cex) (testgen.Testcase, bool) {
 	in := k.Spec.BuildInput(rng)
 	testgen.FillUndefined(in, rng)
@@ -122,6 +124,13 @@ func (e *Engine) cacheProbe(k Kernel, st *settings, form *canon.Form,
 				return mapped, nil
 			}
 		}
+	}
+
+	// A cache-only probe answers exact hits alone: warm-start material
+	// would be discarded with its ErrCacheMiss, and the search that follows
+	// (a queued job) looks the near miss up again.
+	if st.cacheOnly {
+		return nil, nil
 	}
 
 	// Near miss: the cheapest entry of the fingerprint class, its

@@ -333,6 +333,29 @@ func TestNearMissNotEqualRunsSynthesis(t *testing.T) {
 	}
 }
 
+// TestCacheOnlySkipsNearMiss: a cache-only probe of a near-miss kernel
+// answers ErrCacheMiss without looking the fingerprint class up — the
+// warm-start material would be thrown away, and the search that follows
+// looks it up itself.
+func TestCacheOnlySkipsNearMiss(t *testing.T) {
+	s, _ := store.Open("", 16)
+	putDecEntry(t, s)
+	e := NewEngine(EngineConfig{Workers: 1})
+	defer e.Close()
+	before := s.Stats().NearHits
+	_, err := e.Optimize(context.Background(), decAndKernel("dec2", 2),
+		WithRewriteStore(s), WithCacheOnly())
+	if !errors.Is(err, ErrCacheMiss) {
+		t.Fatalf("cache-only near-miss probe: err %v, want ErrCacheMiss", err)
+	}
+	if got := s.Stats().NearHits; got != before {
+		t.Fatalf("cache-only probe did near-miss work: near hits %d -> %d", before, got)
+	}
+	if got := e.SearchesLaunched(); got != 0 {
+		t.Fatalf("cache-only probe launched %d searches", got)
+	}
+}
+
 // TestNearMissDeterministicAcrossPoolWidths: a near-miss run's report,
 // timings aside, is the same at engine pool widths 1 and 2, for an Equal
 // and a NotEqual substitution alike.

@@ -87,22 +87,23 @@ func TestCancelledBeforeStart(t *testing.T) {
 
 // TestOptionZeroValues checks the redesign's motivating property: the old
 // Options struct treated zeros as "use default"; functional options apply
-// them literally.
+// them literally. Zero chains are an explicit choice (skip the phase), and
+// negative counts clamp to zero.
 func TestOptionZeroValues(t *testing.T) {
-	st := resolve([]Option{WithRestartAfter(0), WithBetas(0.1, 0)})
-	if st.restartAfter != 0 {
-		t.Errorf("WithRestartAfter(0) resolved to %d", st.restartAfter)
+	st := resolve([]Option{WithChains(0, 3)})
+	if st.synthChains != 0 || st.optChains != 3 {
+		t.Errorf("WithChains(0, 3) resolved to %d, %d", st.synthChains, st.optChains)
 	}
-	if st.optBeta != 0 {
-		t.Errorf("WithBetas(_, 0) resolved to %v", st.optBeta)
-	}
-	if st.synthBeta != 0.1 {
-		t.Errorf("WithBetas(0.1, _) resolved to %v", st.synthBeta)
+	st = resolve([]Option{WithChains(-2, -1)})
+	if st.synthChains != 0 || st.optChains != 0 {
+		t.Errorf("WithChains(-2, -1) resolved to %d, %d, want both clamped to 0",
+			st.synthChains, st.optChains)
 	}
 	// Untouched knobs keep the documented defaults.
-	if st.tests != 32 || st.ell != 24 || st.maxRefinements != 4 {
-		t.Errorf("defaults disturbed: tests=%d ell=%d refinements=%d",
-			st.tests, st.ell, st.maxRefinements)
+	if st.tests != 32 || st.ell != 24 || st.synthProposals != DefaultSynthProposals ||
+		st.independent {
+		t.Errorf("defaults disturbed: tests=%d ell=%d synth proposals=%d independent=%v",
+			st.tests, st.ell, st.synthProposals, st.independent)
 	}
 }
 

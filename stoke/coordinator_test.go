@@ -25,7 +25,6 @@ func TestTemperingDeterministic(t *testing.T) {
 		WithChains(3, 3),
 		WithBudgets(30000, 30000),
 		WithEll(10),
-		WithTempering(true),
 	}
 	run := func(workers int) *Report {
 		e := NewEngine(EngineConfig{Workers: workers})
@@ -95,15 +94,16 @@ func TestTemperingSwapsHappen(t *testing.T) {
 	}
 }
 
-// TestTemperingDisabledNoSwaps: WithTempering(false) reverts to fully
-// independent chains.
+// TestTemperingDisabledNoSwaps: WithIndependentChains turns replica
+// exchange off. (At these budgets no chain stagnates long enough to be
+// pruned either.)
 func TestTemperingDisabledNoSwaps(t *testing.T) {
 	rep, err := Optimize(context.Background(), addKernel(),
 		WithSeed(2),
 		WithChains(4, 4),
 		WithBudgets(20000, 20000),
 		WithEll(10),
-		WithTempering(false))
+		WithIndependentChains())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +133,7 @@ func TestCoordinatorCancelNoLeak(t *testing.T) {
 			WithSeed(31),
 			WithChains(4, 4),
 			WithBudgets(200_000_000, 200_000_000),
-			WithEll(12),
-			WithTempering(true))
+			WithEll(12))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,9 +30,11 @@
 // Engine.OptimizeAll schedules the chains of many kernels onto the same
 // pool, interleaving their work so the pool stays saturated.
 //
-// Search knobs are functional options (WithBudgets, WithChains, WithBetas,
-// WithRestartAfter, ...), so explicit zero values — disabling restarts,
-// say — are expressible. WithObserver streams typed progress events (phase
+// Search knobs are functional options (WithBudgets, WithChains, WithEll,
+// WithTests, ...), so explicit zero values — zero synthesis chains to
+// optimize from the target alone, say — are expressible. The phase
+// temperatures, restart cadence and refinement bound are the fixed
+// Default* constants, as the paper fixes them (Figure 11). WithObserver streams typed progress events (phase
 // transitions, per-chain best costs, refinement testcases, validator
 // verdicts) to a callback, which is how a server or dashboard watches a
 // run live.
@@ -40,20 +42,20 @@
 // A kernel's chains do not run blind to each other: a coordinator
 // (internal/search) checks them in at a fixed proposal cadence and, at
 // each barrier, exchanges programs between adjacent rungs of a β ladder
-// (parallel tempering — on by default, WithTempering(false) restores the
-// paper's independent chains, WithLadder customises the rungs), shares
-// every chain's best correct program through a global pool that re-ranking
-// draws from and that stagnant chains reseed from, warm-starts testcase
-// orders from a cross-chain rejection profile (WithSharedProfile), and
-// runs the validator mid-search so a counterexample found against one
+// (parallel tempering), shares every chain's best correct program through
+// a global pool that re-ranking draws from and that stagnant chains reseed
+// from, warm-starts testcase orders from a cross-chain rejection profile,
+// and runs the validator mid-search so a counterexample found against one
 // chain's candidate refines every live chain's testcases. Coordination
 // surfaces as EventSwap and EventPrune events and the Report's Swaps and
 // Prunes counters, and every decision happens on a seeded schedule:
 // fixed-seed runs are bit-for-bit reproducible whatever the pool width.
+// WithIndependentChains turns off replica exchange and the shared profile,
+// the paper's §5.3 discipline; stagnant chains still reseed from the pool.
 //
 // Candidate scoring runs on a decode-once compiled pipeline that covers
 // the whole proposal ISA — every memory-operand shape, the fixed-point
-// SSE subset behind WithSSE and the divide family included — so no
+// SSE subset (kernels built WithVectorOps) and the divide family included — so no
 // candidate the search proposes reaches the interpretive fallback.
 // Candidates compile against the kernel's live-out set,
 // so a backward liveness pass suppresses both the flag computation and
@@ -89,8 +91,7 @@
 //     cost-margin plausibility against the proven incumbent have their
 //     mid-search proof postponed — at most a bounded number of times — to
 //     a later validation round (Report.Proofs.GateDeferrals,
-//     EventGateDefer). WithVerifyGate(false) disables the gate,
-//     WithCexBank(false) the bank.
+//     EventGateDefer).
 //   - SAT. Whatever survives is proven by verify.Equivalent, with each
 //     query's wall-clock and encoded clause count recorded in
 //     Report.Proofs (TimeP/ClausesP percentiles).

@@ -118,7 +118,7 @@ func TestCexRefinement(t *testing.T) {
 		t.Fatalf("validator must refute the word-add: %v", res.Verdict)
 	}
 	m := emu.New()
-	tc, genuine := cexTestcase(k, m, rng, res.Cex, k.Target, wrong)
+	tc, genuine := cexTestcase(k, m, rng, res.Cex, wrong)
 	if !genuine {
 		t.Fatal("counterexample testcase does not separate the programs")
 	}

@@ -106,7 +106,7 @@ func WithStack(bytes int) KernelOption {
 }
 
 // WithVectorOps enables vector opcodes in the proposal distribution for
-// this kernel. (The per-run WithSSE option overrides it either way.)
+// this kernel.
 func WithVectorOps() KernelOption {
 	return func(c *kernelCfg) { c.sse = true }
 }

@@ -1,47 +1,23 @@
 package stoke
 
 // Edge cases of the β-ladder and coordinator configuration surface that the
-// PR 3 suite left uncovered: single-chain pools (no swap partner), explicit
-// ladders shorter than the chain count, and shared-profile reuse across
+// coordinator suite leaves uncovered: ladders for any chain count,
+// single-chain pools (no swap partner), and shared-profile reuse across
 // sequential Optimize calls on one engine.
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"repro/internal/search"
 )
 
-// TestBetaLadderShorterThanChains pins the resolution rules when the
-// explicit WithLadder multipliers do not cover the chain count: multipliers
-// cycle (mults[i%len]), the default geometric ladder always covers n, and
-// a single-entry ladder is a uniform scale.
+// TestBetaLadderShorterThanChains pins the ladder resolution rules: the
+// default geometric ladder covers any chain count, including one replica
+// (no hot tail to build), and independent chains get a flat ladder at the
+// phase temperature.
 func TestBetaLadderShorterThanChains(t *testing.T) {
 	st := defaultSettings()
-	st.tempering = true
-	st.ladder = []float64{1.0, 0.5}
-	got := st.betaLadder(2.0, 5)
-	want := []float64{2.0, 1.0, 2.0, 1.0, 2.0}
-	if len(got) != len(want) {
-		t.Fatalf("ladder length %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("betaLadder(2.0, 5) = %v, want cycling %v", got, want)
-		}
-	}
-
-	st.ladder = []float64{0.25}
-	for i, b := range st.betaLadder(4.0, 3) {
-		if b != 1.0 {
-			t.Fatalf("single-multiplier ladder rung %d = %v, want uniform 1.0", i, b)
-		}
-	}
-
-	// The default geometric ladder must cover any chain count, including
-	// one replica (no hot tail to build).
-	st.ladder = nil
 	for _, n := range []int{1, 2, 3, 7} {
 		l := st.betaLadder(1.0, n)
 		if len(l) != n {
@@ -49,6 +25,13 @@ func TestBetaLadderShorterThanChains(t *testing.T) {
 		}
 		if len(search.Ladder(1.0, n, search.DefaultLadderSpan)) != n {
 			t.Fatalf("search.Ladder under-covers %d chains", n)
+		}
+	}
+
+	st.independent = true
+	for i, b := range st.betaLadder(4.0, 3) {
+		if b != 4.0 {
+			t.Fatalf("independent ladder rung %d = %v, want flat 4.0", i, b)
 		}
 	}
 }
@@ -63,8 +46,7 @@ func TestSingleChainPoolCompletes(t *testing.T) {
 			WithSeed(5),
 			WithChains(1, 1),
 			WithBudgets(8000, 10000),
-			WithEll(10),
-			WithTempering(true))
+			WithEll(10))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,34 +59,11 @@ func TestSingleChainPoolCompletes(t *testing.T) {
 	}
 }
 
-// TestShortLadderOptimizeDeterministic drives a real run whose explicit
-// two-rung ladder is shorter than its five chains, twice, and demands
-// identical outcomes — the modulo assignment must not disturb the seeded
-// swap schedule.
-func TestShortLadderOptimizeDeterministic(t *testing.T) {
-	run := func() *Report {
-		rep, err := Optimize(context.Background(), addKernel(),
-			WithSeed(11),
-			WithChains(5, 5),
-			WithBudgets(10000, 10000),
-			WithEll(10),
-			WithLadder(1.0, 0.5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	a, b := run(), run()
-	if a.Rewrite.String() != b.Rewrite.String() || a.Swaps != b.Swaps {
-		t.Fatalf("short-ladder run not deterministic: %d vs %d swaps", a.Swaps, b.Swaps)
-	}
-}
-
 // TestSharedProfileSequentialOptimize reuses one engine for consecutive
 // Optimize calls with the shared rejection profile enabled: each run must
 // build its own profile (no cross-run leakage), so a repeat with the same
-// seed is bit-identical to the first, and toggling the profile off still
-// agrees on the accept/reject trajectory's final answer.
+// seed is bit-identical to the first, and independent chains (no profile)
+// on the same engine still return a rewrite.
 func TestSharedProfileSequentialOptimize(t *testing.T) {
 	e := NewEngine(EngineConfig{Workers: 2})
 	defer e.Close()
@@ -113,7 +72,6 @@ func TestSharedProfileSequentialOptimize(t *testing.T) {
 		WithChains(2, 2),
 		WithBudgets(10000, 12000),
 		WithEll(10),
-		WithSharedProfile(true),
 	}
 	first, err := e.Optimize(context.Background(), addKernel(), opts...)
 	if err != nil {
@@ -128,15 +86,14 @@ func TestSharedProfileSequentialOptimize(t *testing.T) {
 			first.Rewrite, second.Rewrite)
 	}
 
-	// The profile only reorders testcase evaluation, so disabling it may
-	// change how early rejections fire but never the result of a converged
-	// run on this trivial kernel.
+	// Independent chains build no profile; the run must still complete on
+	// the engine the profiled runs used.
 	off, err := e.Optimize(context.Background(), addKernel(),
 		WithSeed(7),
 		WithChains(2, 2),
 		WithBudgets(10000, 12000),
 		WithEll(10),
-		WithSharedProfile(false))
+		WithIndependentChains())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,8 @@ import (
 
 // Default values applied before options; exported so external harnesses
 // and presets derive half-specified configurations from the same source of
-// truth.
+// truth. The phase temperatures, restart cadence and refinement bound are
+// fixed, as in the paper's Figure 11; no option changes them.
 const (
 	DefaultSynthChains    = 4
 	DefaultOptChains      = 4
@@ -29,7 +30,7 @@ const (
 // settings is the resolved configuration of one run. It is private: callers
 // configure runs exclusively through functional options, which — unlike the
 // old zero-value-defaulted struct — can explicitly set a knob to zero
-// (disable restarts, run a zero-temperature optimization phase, ...).
+// (skip the synthesis phase, ...).
 type settings struct {
 	seed           int64
 	synthChains    int
@@ -38,20 +39,11 @@ type settings struct {
 	optProposals   int64
 	tests          int
 	ell            int
-	synthBeta      float64
-	optBeta        float64
-	restartAfter   int64
-	maxRefinements int
 	verify         verify.Config
 	observer       func(Event)
-	sse            *bool
-	tempering      bool
-	ladder         []float64
-	sharedProfile  bool
+	independent    bool
 	store          *store.Store
 	cacheOnly      bool
-	cexBank        bool
-	verifyGate     bool
 
 	// emitMu serializes this run's observer callbacks. It is per-resolve
 	// (shared by OptimizeAll's per-kernel copies, distinct across runs),
@@ -70,15 +62,7 @@ func defaultSettings() settings {
 		optProposals:   DefaultOptProposals,
 		tests:          DefaultTests,
 		ell:            DefaultEll,
-		synthBeta:      DefaultSynthBeta,
-		optBeta:        DefaultOptBeta,
-		restartAfter:   DefaultRestartAfter,
-		maxRefinements: DefaultMaxRefinements,
 		verify:         verify.DefaultConfig,
-		tempering:      true,
-		sharedProfile:  true,
-		cexBank:        true,
-		verifyGate:     true,
 	}
 }
 
@@ -88,8 +72,8 @@ func resolve(opts []Option) settings {
 		o(&st)
 	}
 	// A non-positive ℓ is meaningless (and would trip the mcmc layer's
-	// zero-value Params fallback, silently discarding the configured
-	// betas); normalize it here so every sampler sees a usable length.
+	// zero-value Params fallback, silently discarding the phase betas);
+	// normalize it here so every sampler sees a usable length.
 	if st.ell <= 0 {
 		st.ell = DefaultEll
 	}
@@ -152,68 +136,26 @@ func WithEll(n int) Option {
 	return func(st *settings) { st.ell = n }
 }
 
-// WithBetas sets the inverse temperatures of the two phases: synthesis runs
-// hot over the Hamming cost scale (Figure 11: 0.1), optimization cold at
-// the perf-term scale. Zero is a legal, explicit choice (accept every
-// proposal).
-func WithBetas(synth, opt float64) Option {
-	return func(st *settings) {
-		st.synthBeta = synth
-		st.optBeta = opt
-	}
-}
-
-// WithRestartAfter resets a wandering optimization chain to its best
-// correct program after n proposals without improvement (an extension over
-// the paper). Zero disables restarts.
-func WithRestartAfter(n int64) Option {
-	return func(st *settings) { st.restartAfter = n }
-}
-
-// WithMaxRefinements bounds validator-driven testcase refinement rounds.
-func WithMaxRefinements(n int) Option {
-	return func(st *settings) { st.maxRefinements = n }
-}
-
-// WithVerify sets the validator configuration (SAT conflict budget, formula
-// size cap, exact multiplication encoding).
-func WithVerify(cfg verify.Config) Option {
-	return func(st *settings) { st.verify = cfg }
-}
-
-// WithTempering enables or disables replica exchange (parallel
-// tempering): a phase's chains occupy a mostly-cold β ladder — the
-// leading replicas at the phase temperature, a hot tail (one replica per
-// four) down to half of it — and adjacent replicas exchange their current
-// programs under the Metropolis swap criterion at a fixed proposal
-// cadence, so the hot explorers feed whatever basins they find into the
-// cold exploiting rungs. Enabled by default; disabling it reverts to
-// fully independent chains at the phase temperature (the paper's §5.3
-// discipline). The swap schedule is seeded: fixed-seed runs are
-// bit-for-bit reproducible either way.
-func WithTempering(enabled bool) Option {
-	return func(st *settings) { st.tempering = enabled }
-}
-
-// WithLadder replaces the default geometric β ladder with explicit
-// multipliers: replica i of a phase runs at the phase β times
-// mults[i%len(mults)]. Implies WithTempering(true).
-func WithLadder(mults ...float64) Option {
-	return func(st *settings) {
-		st.ladder = append([]float64(nil), mults...)
-		st.tempering = true
-	}
-}
-
-// WithSharedProfile enables or disables the kernel-wide testcase
-// rejection profile: every chain's early terminations feed one atomic
-// counter set, and new chains (including every refinement round's) warm
-// start their adaptive testcase order from what sibling chains already
-// learned instead of rediscovering the discriminating testcases. Enabled
-// by default; it never changes accept/reject decisions, only how early
-// bad proposals are rejected.
-func WithSharedProfile(enabled bool) Option {
-	return func(st *settings) { st.sharedProfile = enabled }
+// WithIndependentChains runs each phase's chains as the paper's §5.3
+// independent chains at the phase temperature, instead of the default
+// coordinated ensemble. It turns off two kinds of cooperation:
+//
+//   - replica exchange (parallel tempering), where a phase's chains
+//     occupy a mostly-cold β ladder and adjacent replicas trade their
+//     current programs under the Metropolis swap criterion at a fixed,
+//     seeded proposal cadence;
+//   - the kernel-wide testcase rejection profile, from which new chains
+//     (including every refinement round's) warm-start their adaptive
+//     testcase order.
+//
+// Chains still meet at the coordinator's barriers: an optimization chain
+// stagnant for DefaultRestartAfter proposals, its own best outside the
+// re-ranking window, is still reseeded from the global pool's best
+// correct program; mid-search validation still broadcasts
+// counterexamples; and re-ranking still draws on every chain's bests.
+// Fixed-seed runs are bit-for-bit reproducible either way.
+func WithIndependentChains() Option {
+	return func(st *settings) { st.independent = true }
 }
 
 // WithRewriteStore attaches a content-addressed rewrite cache to the run.
@@ -241,45 +183,11 @@ func WithCacheOnly() Option {
 	return func(st *settings) { st.cacheOnly = true }
 }
 
-// WithCexBank toggles the global cross-kernel counterexample bank
-// (default on): every genuine counterexample discovered by any run is
-// canonicalised into the bank (on the attached rewrite store when one is
-// configured, otherwise on the engine's private in-memory bank), and every
-// candidate reaching validation first replays the banked counterexamples
-// through the compiled evaluator — a replayed divergence is a NotEqual
-// without a SAT call. Replay is sound by construction: the refuting
-// testcase is re-derived by running the *target* concretely, so a stale or
-// poisoned bank entry can never refute a correct candidate — it just falls
-// through to the SAT proof.
-func WithCexBank(enabled bool) Option {
-	return func(st *settings) { st.cexBank = enabled }
-}
-
-// WithVerifyGate toggles the feature-based pre-verification gate (default
-// on): before a scheduled mid-search proof, the candidate is scored on
-// observed-output agreement breadth, Eq.13 cost margin over the incumbent,
-// and opcode-set distance from the target; low scorers have their proof
-// deferred to a later validation round. Deferral is bounded per candidate
-// and end-of-round validation never consults the gate, so every reported
-// verdict is still SAT-backed — the gate shifts proof attempts toward
-// candidates likely to survive them, it never skips a proof.
-func WithVerifyGate(enabled bool) Option {
-	return func(st *settings) { st.verifyGate = enabled }
-}
-
 // betaLadder resolves a phase's per-replica inverse temperatures: the
-// explicit WithLadder multipliers when given, the default geometric
-// ladder under tempering, or a flat ladder (independent chains at the
-// phase temperature) otherwise.
+// default geometric ladder for coordinated chains, or a flat ladder
+// (independent chains at the phase temperature).
 func (st *settings) betaLadder(base float64, n int) []float64 {
-	if st.tempering && len(st.ladder) > 0 {
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = base * st.ladder[i%len(st.ladder)]
-		}
-		return out
-	}
-	if st.tempering {
+	if !st.independent {
 		return search.Ladder(base, n, search.DefaultLadderSpan)
 	}
 	out := make([]float64, n)
@@ -287,12 +195,6 @@ func (st *settings) betaLadder(base float64, n int) []float64 {
 		out[i] = base
 	}
 	return out
-}
-
-// WithSSE forces vector opcodes on or off in the proposal distribution,
-// overriding the kernel's own SSE annotation.
-func WithSSE(enabled bool) Option {
-	return func(st *settings) { st.sse = &enabled }
 }
 
 // WithObserver streams typed progress events to fn: phase transitions,

@@ -83,7 +83,7 @@ type verifier struct {
 	incumbentH func() float64
 
 	// bank is the counterexample bank (the attached rewrite store, or the
-	// engine's private in-memory store); nil when WithCexBank(false).
+	// engine's private in-memory store).
 	// form carries states between this kernel's register space and the
 	// bank's canonical space.
 	bank *store.Store
@@ -178,7 +178,7 @@ func (v *verifier) check(cand *x64.Program) checkOutcome {
 	}
 
 	// NotEqual: re-derive the divergence concretely.
-	tc, genuine := cexTestcase(v.k, v.m, v.rng, res.Cex, v.k.Target, cand)
+	tc, genuine := cexTestcase(v.k, v.m, v.rng, res.Cex, cand)
 	if !genuine {
 		// The symbolic model refuted the candidate but its counterexample
 		// does not distinguish the programs on the emulator — a
@@ -225,7 +225,7 @@ func (v *verifier) proveStart(cand *x64.Program) verify.Verdict {
 // the global bank, where every later run — on this kernel or any α-renamed
 // sibling — replays it before proving.
 func (v *verifier) bankCex(tc testgen.Testcase) {
-	if v.bank == nil || v.form == nil {
+	if v.bank == nil {
 		return
 	}
 	// Persistence failure degrades to a forgetful bank, never fails a run.
@@ -239,7 +239,7 @@ func (v *verifier) bankCex(tc testgen.Testcase) {
 // which is the poisoned-cex degradation path: they simply never join the
 // replay set.
 func (v *verifier) refreshBank() {
-	if v.bank == nil || v.form == nil {
+	if v.bank == nil {
 		return
 	}
 	cexs := v.bank.BankCexs()

@@ -47,7 +47,8 @@ type Report struct {
 
 	// Swaps counts accepted replica exchanges across all phases and
 	// rounds; Prunes counts stagnant chains reseeded from the kernel's
-	// global best. Both are zero when tempering is disabled.
+	// global best. Swaps is zero under WithIndependentChains; Prunes is
+	// not, since stagnant independent chains still reseed.
 	Swaps, Prunes int
 
 	// SkippedValidations counts scheduled mid-search validation rounds
@@ -68,7 +69,7 @@ type Report struct {
 	// were killed by banked-counterexample replay or deferred by the
 	// pre-verification gate before any SAT call, how many queries actually
 	// reached the solver, and the per-query wall-clock and clause-count
-	// samples behind the proof-time histograms in BENCH_search.json.
+	// samples behind perfbench's verify.proof_* metrics.
 	Proofs ProofProfile
 
 	Stats mcmc.Stats

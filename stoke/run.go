@@ -21,6 +21,7 @@ import (
 	"repro/internal/perf"
 	"repro/internal/pipeline"
 	"repro/internal/search"
+	"repro/internal/store"
 	"repro/internal/testgen"
 	"repro/internal/verify"
 	"repro/internal/x64"
@@ -47,14 +48,11 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 	// --- Rewrite-store probe (before any search): an exact fingerprint
 	// hit revalidates against the fresh testcases and serves immediately;
 	// a fingerprint-class near-miss yields warm-start material. ---
-	var form *canon.Form
+	// The canonical form also carries counterexamples between this
+	// kernel's register space and the bank's canonical space, so it is
+	// computed even without a store.
+	form := canon.Canonicalize(k.Target, liveOutFor(k))
 	var warm *cacheWarm
-	if st.store != nil || st.cexBank {
-		// The canonical form also carries counterexamples between this
-		// kernel's register space and the bank's canonical space, so it is
-		// computed even without a store when the cex bank is on.
-		form = canon.Canonicalize(k.Target, liveOutFor(k))
-	}
 	if st.store != nil {
 		probeStart := time.Now()
 		rep.Fingerprint = form.FP.Hex()
@@ -71,11 +69,7 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 
 	// Proposal pools are built only once a search is certain: a hit never
 	// proposes.
-	sse := k.SSE
-	if st.sse != nil {
-		sse = *st.sse
-	}
-	pools := mcmc.PoolsFor(k.Target, sse)
+	pools := mcmc.PoolsFor(k.Target, k.SSE)
 
 	// The verifier is built before any chain runs, because a near miss
 	// proves its substituted start before deciding whether to synthesize.
@@ -107,9 +101,6 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 	bank := e.bank
 	if st.store != nil {
 		bank = st.store // a persistent store doubles as the bank
-	}
-	if !st.cexBank {
-		bank = nil
 	}
 	vrf := &verifier{
 		e: e, st: &st, k: k, m: m, rng: rng, rep: rep,
@@ -162,7 +153,7 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 	// restores the counters a previous search learned for this fingerprint
 	// class.
 	var prof *cost.SharedProfile
-	if st.sharedProfile {
+	if !st.independent {
 		if warm != nil && len(warm.profile) > 0 {
 			prof = cost.NewSharedProfileFromCounts(warm.profile, len(tests))
 		} else {
@@ -204,7 +195,7 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 		e.emit(&st, Event{Kind: EventPhaseStart, Kernel: k.Name, Phase: "synthesis"})
 		start := time.Now()
 		synthRuns := make([]*mcmc.Run, st.synthChains)
-		synthLadder := st.betaLadder(st.synthBeta, st.synthChains)
+		synthLadder := st.betaLadder(DefaultSynthBeta, st.synthChains)
 		for i := range synthRuns {
 			i := i
 			params := mcmc.PaperParams
@@ -224,7 +215,7 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 		}
 		synthCoord := search.New(search.Config{
 			Seed:     st.seed + 71,
-			Exchange: st.tempering,
+			Exchange: !st.independent,
 			Tests:    len(tests),
 			Profile:  prof,
 			OnSwap: func(i, j int, ci, cj float64) {
@@ -342,7 +333,7 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 
 		nChains := st.optChains * len(starts)
 		optRuns := make([]*mcmc.Run, nChains)
-		optLadder := st.betaLadder(st.optBeta, nChains)
+		optLadder := st.betaLadder(DefaultOptBeta, nChains)
 		for i := range optRuns {
 			i := i
 			params := mcmc.PaperParams
@@ -353,7 +344,7 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 				Pools:        pools,
 				Cost:         newCost(1),
 				Rng:          rand.New(rand.NewSource(chainSeed + int64(i))),
-				RestartAfter: st.restartAfter,
+				RestartAfter: DefaultRestartAfter,
 			}
 			s.OnImprove = func(iter int64, c float64, p *x64.Program) {
 				e.emit(&st, Event{Kind: EventChainImproved, Kernel: k.Name,
@@ -362,12 +353,16 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 			}
 			optRuns[i] = s.Begin(starts[i%len(starts)], budget)
 		}
-		cfg := search.Config{
-			Seed:       chainSeed + 503,
-			Exchange:   st.tempering,
-			PruneAfter: st.restartAfter,
-			Tests:      len(tests),
-			Profile:    prof,
+		optCoord := search.New(search.Config{
+			Seed:          chainSeed + 503,
+			Exchange:      !st.independent,
+			PruneAfter:    DefaultRestartAfter,
+			Tests:         len(tests),
+			Profile:       prof,
+			ValidateEvery: midValidateEvery,
+			Validate:      midValidate,
+			IncumbentCost: func() float64 { return incumbentH },
+			Defer:         vrf.shouldDefer,
 			OnSwap: func(i, j int, ci, cj float64) {
 				e.emit(&st, Event{Kind: EventSwap, Kernel: k.Name,
 					Phase: "optimization", Round: round, Chain: i, Partner: j, Cost: ci})
@@ -376,16 +371,7 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 				e.emit(&st, Event{Kind: EventPrune, Kernel: k.Name,
 					Phase: "optimization", Round: round, Chain: i, Cost: adopted})
 			},
-		}
-		if st.maxRefinements > 0 {
-			cfg.ValidateEvery = midValidateEvery
-			cfg.Validate = midValidate
-			cfg.IncumbentCost = func() float64 { return incumbentH }
-			if st.verifyGate {
-				cfg.Defer = vrf.shouldDefer
-			}
-		}
-		optCoord := search.New(cfg, optRuns)
+		}, optRuns)
 		optCoord.Drive(ctx, func(bodies []func()) {
 			rep.OptTime += e.runBatch(ctx, bodies)
 		})
@@ -496,7 +482,7 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 			rep.Refinements++
 			e.emit(&st, Event{Kind: EventRefinement, Kernel: k.Name,
 				Round: round, Tests: len(tests)})
-			if round < st.maxRefinements {
+			if round < DefaultMaxRefinements {
 				reSearch = true
 				break
 			}
@@ -514,7 +500,7 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 	// Write the proven outcome back to the rewrite store — including
 	// no-improvement results (rewrite == target), which dedupe repeated
 	// fruitless searches for the same kernel into one.
-	if st.store != nil && form != nil && !out.Partial && out.Verdict == verify.Equal {
+	if st.store != nil && !out.Partial && out.Verdict == verify.Equal {
 		cachePut(k, &st, form, out, tests, generated, prof)
 	}
 	return out, nil
@@ -556,38 +542,16 @@ func fastestSurvivor(candidates []*x64.Program, tests []testgen.Testcase, k Kern
 	return best
 }
 
-// cexTestcase converts a counterexample into a testcase, reporting whether
-// it concretely distinguishes target and rewrite.
+// cexTestcase converts a validator counterexample into a testcase the way
+// a stored one is replayed (replayCex), reporting whether it concretely
+// distinguishes the target and rewrite.
 func cexTestcase(k Kernel, m *emu.Machine, rng *rand.Rand, cex *verify.Counterexample,
-	target, rewrite *x64.Program) (testgen.Testcase, bool) {
+	rewrite *x64.Program) (testgen.Testcase, bool) {
 
-	// Start from a shape-correct random input and overwrite every
-	// non-pointer register — including undefined ones, whose junk values
-	// the counterexample may rely on — with the model's values. The stack
-	// pointer is always a pointer: a counterexample rsp points nowhere
-	// runnable.
-	in := k.Spec.BuildInput(rng)
-	testgen.FillUndefined(in, rng)
-	for r := x64.Reg(0); r < x64.NumGPR; r++ {
-		if r == x64.RSP || k.Pointers.Has(r) {
-			continue
-		}
-		in.Regs[r] = cex.Regs[r]
-	}
-	for r := 0; r < x64.NumXMM; r++ {
-		in.Xmm[r] = cex.Xmm[r]
-	}
-	in.Flags = cex.Flags
-
-	tc, err := testgen.FromInput(m, target, k.Spec, in)
-	if err != nil {
+	tc, ok := replayCex(k, m, rng, store.Cex{Regs: cex.Regs, Xmm: cex.Xmm, Flags: uint8(cex.Flags)})
+	if !ok {
 		return testgen.Testcase{}, false
 	}
-
-	// Does the refined testcase actually separate the programs?
 	f := cost.New([]testgen.Testcase{tc}, k.Spec.LiveOut, cost.Strict, 0)
-	if f.Eval(rewrite, cost.MaxBudget).Cost == 0 {
-		return tc, false
-	}
-	return tc, true
+	return tc, f.Eval(rewrite, cost.MaxBudget).Cost != 0
 }
