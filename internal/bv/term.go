@@ -4,6 +4,26 @@
 // the role STP plays for STOKE (§5.2): deciding quantifier-free bit-vector
 // queries and producing counterexample models.
 //
+// Builder folds constants and keeps these normal forms, so the values an
+// -O0 program routes through the stack and through 32-bit register writes
+// hash-cons to the terms they started as:
+//
+//   - base + offset: adding or subtracting a constant keeps one constant
+//     on the right, (x + c1) + c2 is x + (c1+c2), and Eq and Sub decide
+//     two terms over one base;
+//   - extract(extract(a)) is one extract of a;
+//   - extract(zext(a)) is an extract of a when the bits lie inside a, and
+//     zero when they lie above it; an extract straddling the boundary
+//     stays;
+//   - zext(zext(a)) is one zext of a;
+//   - concat of adjacent extracts of one term (hi starting where lo ends)
+//     is one extract, also when one side is itself a concat, so a word
+//     stored byte by byte and reloaded is the stored term again.
+//
+// Builder keeps operand order: commutative operands are not sorted, so
+// the bit-blasted encoding follows the programs' own order. CommEqual
+// compares terms up to that order instead.
+//
 // Terms are at most 64 bits wide; the verifier models 128-bit products as
 // pairs of 64-bit terms. Uninterpreted functions (§5.2 treats 64-bit
 // multiplication and division as uninterpreted) are App terms; Builder
@@ -121,6 +141,11 @@ type Builder struct {
 	// appNames lists the keys of Apps in first-application order, so
 	// consumers of Apps can walk it deterministically.
 	appNames []string
+
+	// commID memoizes CommEqual's canonical id per term ID (id+1; 0 is
+	// unset), and commIDs interns the canonical keys.
+	commID  []int32
+	commIDs map[key]int32
 }
 
 // NewBuilder returns an empty builder.
@@ -404,11 +429,31 @@ func (b *Builder) Extract(a *Term, lo, w uint8) *Term {
 	if v, ok := a.IsConst(); ok {
 		return b.Const(w, v>>lo)
 	}
-	// extract of extract
-	if a.Op == OpExtract {
+	switch a.Op {
+	case OpExtract:
 		return b.Extract(a.Args[0], a.Lo+lo, w)
+	case OpZext:
+		// Bits wholly inside the extended term or wholly above it; an
+		// extract straddling the boundary stays as it is.
+		x := a.Args[0]
+		if lo+w <= x.Width {
+			return b.Extract(x, lo, w)
+		}
+		if lo >= x.Width {
+			return b.Const(w, 0)
+		}
 	}
 	return b.intern(&Term{Op: OpExtract, Width: w, Lo: lo, Args: []*Term{a}})
+}
+
+// joinExtracts returns the single extract equal to hi ++ lo when both are
+// extracts of one term and hi starts where lo ends.
+func (b *Builder) joinExtracts(hi, lo *Term) (*Term, bool) {
+	if hi.Op != OpExtract || lo.Op != OpExtract || hi.Args[0] != lo.Args[0] ||
+		hi.Lo != lo.Lo+lo.Width {
+		return nil, false
+	}
+	return b.Extract(lo.Args[0], lo.Lo, hi.Width+lo.Width), true
 }
 
 // Concat joins hi ++ lo; the result width is the sum (must be <= 64).
@@ -421,6 +466,22 @@ func (b *Builder) Concat(hi, lo *Term) *Term {
 	lv, lc := lo.IsConst()
 	if hc && lc {
 		return b.Const(w, hv<<lo.Width|lv)
+	}
+	// Adjacent extracts of one term join into one extract, also across a
+	// nested concat, so a word stored byte by byte and reloaded folds back
+	// to the stored term.
+	if t, ok := b.joinExtracts(hi, lo); ok {
+		return t
+	}
+	if lo.Op == OpConcat {
+		if t, ok := b.joinExtracts(hi, lo.Args[0]); ok {
+			return b.Concat(t, lo.Args[1])
+		}
+	}
+	if hi.Op == OpConcat {
+		if t, ok := b.joinExtracts(hi.Args[1], lo); ok {
+			return b.Concat(hi.Args[0], t)
+		}
 	}
 	return b.intern(&Term{Op: OpConcat, Width: w, Args: []*Term{hi, lo}})
 }
@@ -435,6 +496,9 @@ func (b *Builder) Zext(a *Term, w uint8) *Term {
 	}
 	if v, ok := a.IsConst(); ok {
 		return b.Const(w, v)
+	}
+	if a.Op == OpZext {
+		a = a.Args[0]
 	}
 	return b.intern(&Term{Op: OpZext, Width: w, Args: []*Term{a}})
 }
@@ -544,6 +608,55 @@ func (b *Builder) Ne(x, y *Term) *Term { return b.Not(b.Eq(x, y)) }
 
 // PopCountConst is a helper used in tests.
 func PopCountConst(v uint64) int { return bits.OnesCount64(v) }
+
+// CommEqual reports whether x and y are equal up to the operand order of
+// commutative operators (and, or, xor, add, mul, eq) anywhere in their
+// DAGs: xor(a, b) matches xor(b, a), also deep inside both terms.
+// Associativity is not normalized. Each term gets one memoized canonical
+// id, so comparing costs time linear in the terms not yet seen. Terms keep
+// their operand order; only the comparison ignores it.
+func (b *Builder) CommEqual(x, y *Term) bool {
+	return x == y || b.commCanon(x) == b.commCanon(y)
+}
+
+func commutative(op Op) bool {
+	switch op {
+	case OpAnd, OpOr, OpXor, OpAdd, OpMul, OpEq:
+		return true
+	}
+	return false
+}
+
+// commCanon returns t's canonical id: the id of its key with every
+// argument replaced by the argument's canonical id, commutative pairs in
+// ascending order.
+func (b *Builder) commCanon(t *Term) int32 {
+	if int(t.ID) < len(b.commID) && b.commID[t.ID] != 0 {
+		return b.commID[t.ID] - 1
+	}
+	ids := [3]int32{-1, -1, -1}
+	for i, a := range t.Args {
+		ids[i] = b.commCanon(a)
+	}
+	if commutative(t.Op) && ids[0] > ids[1] {
+		ids[0], ids[1] = ids[1], ids[0]
+	}
+	k := key{op: t.Op, width: t.Width, lo: t.Lo, val: t.Val, name: t.Name,
+		a0: ids[0], a1: ids[1], a2: ids[2]}
+	if b.commIDs == nil {
+		b.commIDs = map[key]int32{}
+	}
+	id, ok := b.commIDs[k]
+	if !ok {
+		id = int32(len(b.commIDs))
+		b.commIDs[k] = id
+	}
+	if int(t.ID) >= len(b.commID) {
+		b.commID = append(b.commID, make([]int32, int(b.next)-len(b.commID))...)
+	}
+	b.commID[t.ID] = id + 1
+	return id
+}
 
 // NumTerms returns the number of distinct terms interned so far.
 func (b *Builder) NumTerms() int { return len(b.terms) }

@@ -776,7 +776,7 @@ func (s *Sampler) moveOpcode(p *x64.Program) (rec moveRec, ok bool) {
 	} else {
 		in.CC = x64.CondNone
 	}
-	if in.Validate() != nil {
+	if !in.Valid() {
 		// Fixed-register constraints (cl shift counts) can invalidate the
 		// swap; restore and treat as a degenerate proposal.
 		*in = old
@@ -839,7 +839,7 @@ func (s *Sampler) moveOperand(p *x64.Program) (rec moveRec, ok bool) {
 		in.CC = s.randomCond()
 	}
 	in.Opd[slot] = o
-	if in.Validate() != nil {
+	if !in.Valid() {
 		*in = old
 		return rec, false
 	}
@@ -938,7 +938,7 @@ func (s *Sampler) RandomInst() (x64.Inst, bool) {
 		if info.HasCC {
 			in.CC = s.randomCond()
 		}
-		if in.Validate() == nil {
+		if in.Valid() {
 			return in, true
 		}
 	}

@@ -68,6 +68,10 @@ type Counterexample struct {
 	Mem map[uint64]byte
 }
 
+// ReasonStructural is the Reason of an Equal proven without a SAT call:
+// every live output's two terms matched up to commutative operand order.
+const ReasonStructural = "structural"
+
 // Result reports one equivalence query.
 type Result struct {
 	Verdict   Verdict
@@ -101,20 +105,25 @@ func Equivalent(ctx context.Context, target, rewrite *x64.Program, live LiveOut,
 		return Result{Verdict: Unsupported, Reason: reason}
 	}
 
-	// Build the difference disjunction over live outputs.
+	// Build the difference disjunction over live outputs. An output whose
+	// two terms are equal up to commutative operand order cannot differ,
+	// so it stays out of the miter.
 	diff := b.False()
+	differ := func(vT, vR *bv.Term) {
+		if !b.CommEqual(vT, vR) {
+			diff = b.Or(diff, b.Ne(vT, vR))
+		}
+	}
 	for _, lr := range live.GPRs {
-		vT := b.Extract(sT.regs[lr.Reg], 0, w8(lr.Width))
-		vR := b.Extract(sR.regs[lr.Reg], 0, w8(lr.Width))
-		diff = b.Or(diff, b.Ne(vT, vR))
+		differ(b.Extract(sT.regs[lr.Reg], 0, w8(lr.Width)), b.Extract(sR.regs[lr.Reg], 0, w8(lr.Width)))
 	}
 	for _, xr := range live.Xmms {
-		diff = b.Or(diff, b.Ne(sT.xmm[xr][0], sR.xmm[xr][0]))
-		diff = b.Or(diff, b.Ne(sT.xmm[xr][1], sR.xmm[xr][1]))
+		differ(sT.xmm[xr][0], sR.xmm[xr][0])
+		differ(sT.xmm[xr][1], sR.xmm[xr][1])
 	}
 	for f := x64.Flag(0); f < x64.NumFlags; f++ {
 		if live.Flags.Has(f) {
-			diff = b.Or(diff, b.Ne(sT.flags[f], sR.flags[f]))
+			differ(sT.flags[f], sR.flags[f])
 		}
 	}
 	// Live memory is addressed relative to the *input* value of the base
@@ -125,16 +134,18 @@ func Equivalent(ctx context.Context, target, rewrite *x64.Program, live LiveOut,
 		for i := int32(0); i < mr.Len; i++ {
 			addr := b.Add(b.Var(64, x64.GPRName(mr.Base, 8)),
 				b.Const(64, uint64(int64(mr.Disp+i))))
-			vT := finalByte(sT, addr)
-			vR := finalByte(sR, addr)
-			diff = b.Or(diff, b.Ne(vT, vR))
+			differ(finalByte(sT, addr), finalByte(sR, addr))
 		}
 	}
 
-	// Fast path: structurally identical outputs fold the difference away.
+	// Fast path: when every live output of the two programs is the same
+	// term up to commutative operand order — the builder's normal forms
+	// having folded away stack round trips and zero-extension wrappers —
+	// the difference is constant false and the query is proven without
+	// a SAT call.
 	if v, ok := diff.IsConst(); ok {
 		if v == 0 {
-			return Result{Verdict: Equal, Reason: "structural"}
+			return Result{Verdict: Equal, Reason: ReasonStructural}
 		}
 		// Constant-true difference still needs a model for the CEX; fall
 		// through to SAT with a trivial query.

@@ -49,24 +49,79 @@ func (in *Inst) Operands() []Operand { return in.Opd[:in.N] }
 // exactly on cc-carrying opcodes, and fixed-register constraints (shift
 // counts in CL) must hold.
 func (in Inst) Validate() error {
-	info := Info(in.Op)
-	if in.Op == BAD || in.Op >= NumOpcodes {
+	f, slot, ctxWidth := in.check()
+	switch f {
+	case faultOpcode:
 		return fmt.Errorf("x64: invalid opcode %d", in.Op)
+	case faultNoCC:
+		return fmt.Errorf("x64: %s requires a condition code", Info(in.Op).Name)
+	case faultCC:
+		return fmt.Errorf("x64: %s does not take a condition code", Info(in.Op).Name)
+	case faultSig:
+		return fmt.Errorf("x64: no signature of %s matches %s", Info(in.Op).Name, in.String())
+	case faultImmWidth:
+		return fmt.Errorf("x64: immediate width %d does not match context %d in %s",
+			in.Opd[slot].Width, ctxWidth, in.String())
+	case faultShiftCount:
+		return fmt.Errorf("x64: register shift count must be cl, got %s", in.Opd[slot])
+	case faultScale:
+		return fmt.Errorf("x64: bad scale %d in %s", in.Opd[slot].Scale, in.String())
+	case faultAbsMem:
+		return fmt.Errorf("x64: absolute memory operand %s not supported", in.Opd[slot])
+	case faultBase:
+		return fmt.Errorf("x64: bad base register in %s", in.String())
+	case faultIndex:
+		return fmt.Errorf("x64: bad index register in %s", in.String())
 	}
-	if info.HasCC {
+	return nil
+}
+
+// Valid reports whether Validate accepts the instruction, without building
+// an error: the sampler's proposal moves reject many draws and need only
+// the answer.
+func (in Inst) Valid() bool {
+	f, _, _ := in.check()
+	return f == fine
+}
+
+// fault names the first rule check finds broken.
+type fault uint8
+
+const (
+	fine fault = iota
+	faultOpcode
+	faultNoCC
+	faultCC
+	faultSig
+	faultImmWidth
+	faultShiftCount
+	faultScale
+	faultAbsMem
+	faultBase
+	faultIndex
+)
+
+// check applies Validate's rules in order and returns the first one
+// broken, the operand slot it concerns and the signature's immediate
+// context width.
+func (in *Inst) check() (f fault, slot, ctxWidth uint8) {
+	if in.Op == BAD || in.Op >= NumOpcodes {
+		return faultOpcode, 0, 0
+	}
+	if Info(in.Op).HasCC {
 		if in.CC == CondNone || in.CC >= NumConds {
-			return fmt.Errorf("x64: %s requires a condition code", info.Name)
+			return faultNoCC, 0, 0
 		}
 	} else if in.CC != CondNone {
-		return fmt.Errorf("x64: %s does not take a condition code", info.Name)
+		return faultCC, 0, 0
 	}
 	s, ok := MatchSig(in.Op, in.Opd[:in.N])
 	if !ok {
-		return fmt.Errorf("x64: no signature of %s matches %s", info.Name, in.String())
+		return faultSig, 0, 0
 	}
 	// Immediate operands must carry the signature's context width (the
 	// symbolic validator builds constants at that width).
-	ctxWidth := uint8(8)
+	ctxWidth = 8
 	for i := uint8(0); i < s.N; i++ {
 		if w := TokWidth(s.Slot[i]); w != 0 && w != 16 {
 			ctxWidth = w
@@ -74,39 +129,37 @@ func (in Inst) Validate() error {
 	}
 	for i := uint8(0); i < in.N; i++ {
 		if in.Opd[i].Kind == KindImm && in.Opd[i].Width != ctxWidth {
-			return fmt.Errorf("x64: immediate width %d does not match context %d in %s",
-				in.Opd[i].Width, ctxWidth, in.String())
+			return faultImmWidth, i, ctxWidth
 		}
 	}
 	// Shift-by-register forms require the count in CL.
 	if isShiftFamily(in.Op) && in.N == 2 && in.Opd[0].Kind == KindReg && in.Opd[0].Width == 1 {
 		if in.Opd[0].Reg != RCX {
-			return fmt.Errorf("x64: register shift count must be cl, got %s", in.Opd[0])
+			return faultShiftCount, 0, ctxWidth
 		}
 	}
 	// Memory operands must have sane scale and 64-bit base/index.
 	for i := uint8(0); i < in.N; i++ {
-		o := in.Opd[i]
+		o := &in.Opd[i]
 		if o.Kind != KindMem {
 			continue
 		}
 		switch o.Scale {
 		case 1, 2, 4, 8:
 		default:
-			return fmt.Errorf("x64: bad scale %d in %s", o.Scale, in.String())
+			return faultScale, i, ctxWidth
 		}
 		if o.Base == NoReg && o.Index == NoReg {
-			return fmt.Errorf("x64: absolute memory operand %s not supported", o)
+			return faultAbsMem, i, ctxWidth
 		}
 		if o.Base != NoReg && o.Base >= NumGPR {
-			return fmt.Errorf("x64: bad base register in %s", in.String())
+			return faultBase, i, ctxWidth
 		}
 		if o.Index != NoReg && (o.Index >= NumGPR || o.Index == RSP) {
-			return fmt.Errorf("x64: bad index register in %s", in.String())
+			return faultIndex, i, ctxWidth
 		}
 	}
-	_ = s
-	return nil
+	return fine, 0, ctxWidth
 }
 
 func isShiftFamily(op Opcode) bool {

@@ -94,7 +94,12 @@
 //     EventGateDefer).
 //   - SAT. Whatever survives is proven by verify.Equivalent, with each
 //     query's wall-clock and encoded clause count recorded in
-//     Report.Proofs (TimeP/ClausesP percentiles).
+//     Report.Proofs (TimeP/ClausesP percentiles). The bit-vector builder
+//     folds the stack round trips and 32-bit zero extensions of an -O0
+//     target, and a live output whose two terms match up to commutative
+//     operand order leaves the miter; when none is left, the query is an
+//     Equal without a SAT call (Report.Proofs.Structural), and only the
+//     remaining queries contribute clause samples.
 //
 // Both shortcuts are soundness-preserving by construction. A replay kill
 // rests on re-running the *target* concretely on the banked state, so the
@@ -103,10 +108,12 @@
 // testcase the candidate passes, degrading to the plain SAT call, never a
 // wrong kill. The gate only defers — the end-of-round validation loop
 // never consults it — so every rewrite served or reported as proven is
-// still backed by a SAT Equal. Budget-exhausted Unknown verdicts are never
-// memoized (a later round may afford the proof); a symbolic NotEqual whose
-// counterexample fails to reproduce on the emulator is surfaced as
-// EventModelMismatch and counted, never silently downgraded.
+// still backed by a verify.Equivalent Equal: UNSAT, or structural (both
+// programs compute the same term for every live output). Budget-exhausted
+// Unknown verdicts are never memoized (a later round may afford the
+// proof); a symbolic NotEqual whose counterexample fails to reproduce on
+// the emulator is surfaced as EventModelMismatch and counted, never
+// silently downgraded.
 //
 // # Serving mode and the rewrite store
 //

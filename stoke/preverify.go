@@ -202,6 +202,9 @@ func (v *verifier) sat(cand *x64.Program) verify.Result {
 	res, dur := v.prove(cand)
 	v.rep.Proofs.SATCalls++
 	v.rep.Proofs.Times = append(v.rep.Proofs.Times, dur)
+	if res.Reason == verify.ReasonStructural {
+		v.rep.Proofs.Structural++
+	}
 	if res.Clauses > 0 {
 		v.rep.Proofs.Clauses = append(v.rep.Proofs.Clauses, res.Clauses)
 	}

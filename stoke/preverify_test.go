@@ -1,6 +1,7 @@
 package stoke
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -127,6 +128,32 @@ func TestUnknownVerdictNotMemoized(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("prover ran %d times after a concluded verdict, want still 2", calls)
+	}
+}
+
+// TestStructuralProofsCounted: a candidate equal to the target up to
+// commutative operand order closes without SAT and counts as Structural,
+// with no clause sample; a candidate that needs the solver counts as a
+// SAT call only and contributes its clause count.
+func TestStructuralProofsCounted(t *testing.T) {
+	k := leanAddKernel()
+	live := verify.LiveOut{GPRs: k.Spec.LiveOut.GPRs}
+	prove := func(cand *x64.Program) (verify.Result, time.Duration) {
+		return verify.Equivalent(context.Background(), k.Target, cand, live, verify.DefaultConfig), 0
+	}
+	v, rep := newTestVerifier(t, k, nil, prove, nil)
+	for _, src := range []string{
+		"movq rsi, rax\naddq rdi, rax",
+		"movq rsi, rcx\nnegq rcx\nmovq rdi, rax\nsubq rcx, rax",
+	} {
+		if out := v.check(x64.MustParse(src)); out.verdict != verify.Equal {
+			t.Fatalf("%q: verdict %v, want equal", src, out.verdict)
+		}
+	}
+	p := rep.Proofs
+	if p.SATCalls != 2 || p.Structural != 1 || len(p.Times) != 2 || len(p.Clauses) != 1 {
+		t.Fatalf("SATCalls %d, Structural %d, %d time samples, %d clause samples; want 2, 1, 2, 1",
+			p.SATCalls, p.Structural, len(p.Times), len(p.Clauses))
 	}
 }
 

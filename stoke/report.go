@@ -82,6 +82,11 @@ type ProofProfile struct {
 	// (including the structural fast path — every call to the prover).
 	SATCalls int
 
+	// Structural counts the SATCalls that closed without a SAT call:
+	// Equal verdicts whose live outputs matched term for term, up to
+	// commutative operand order (verify.ReasonStructural).
+	Structural int
+
 	// ReplayKills counts candidates refuted by replaying a banked
 	// counterexample through the compiled evaluator: NotEqual verdicts
 	// established without a SAT call.
@@ -98,8 +103,10 @@ type ProofProfile struct {
 	// tracked kernels.
 	ModelMismatches int
 
-	// Times and Clauses are per-SAT-query samples: wall-clock spent in
-	// verify.Equivalent and the encoded problem's clause count.
+	// Times and Clauses are per-query samples: wall-clock spent in
+	// verify.Equivalent and the encoded problem's clause count. Times
+	// samples every query; Clauses samples only the queries encoded for
+	// SAT, so its percentiles rise when more queries close structurally.
 	Times   []time.Duration
 	Clauses []int
 }
