@@ -303,14 +303,6 @@ func (b *Blaster) AssertTrue(t *Term) {
 	b.S.AddClause(b.Bits(t)[0])
 }
 
-// AssertFalse requires the 1-bit term t not to hold.
-func (b *Blaster) AssertFalse(t *Term) {
-	if t.Width != 1 {
-		panic("bv: AssertFalse on wide term")
-	}
-	b.S.AddClause(b.Bits(t)[0].Not())
-}
-
 // AssertFunConsistency adds Ackermann constraints for every pair of
 // applications of the same uninterpreted function recorded by the builder:
 // equal arguments force equal results. This is how 64-bit multiplication

@@ -31,16 +31,6 @@ func Eval(t *Term, env *Env) uint64 {
 	return eval(t, env, memo)
 }
 
-// EvalAll evaluates several terms sharing one memo table.
-func EvalAll(ts []*Term, env *Env) []uint64 {
-	memo := map[*Term]uint64{}
-	out := make([]uint64, len(ts))
-	for i, t := range ts {
-		out[i] = eval(t, env, memo)
-	}
-	return out
-}
-
 func eval(t *Term, env *Env, memo map[*Term]uint64) uint64 {
 	if v, ok := memo[t]; ok {
 		return v

@@ -33,7 +33,6 @@ package bv
 
 import (
 	"fmt"
-	"math/bits"
 )
 
 // Op is a term constructor.
@@ -569,12 +568,6 @@ func (b *Builder) Ult(x, y *Term) *Term {
 	return b.intern(&Term{Op: OpUlt, Width: 1, Args: []*Term{x, y}})
 }
 
-// Slt is the signed less-than predicate, lowered to Ult with flipped signs.
-func (b *Builder) Slt(x, y *Term) *Term {
-	sign := b.Const(x.Width, 1<<(x.Width-1))
-	return b.Ult(b.Xor(x, sign), b.Xor(y, sign))
-}
-
 // Ite is the if-then-else selector; cond must be 1-bit.
 func (b *Builder) Ite(cond, then, els *Term) *Term {
 	if cond.Width != 1 {
@@ -595,19 +588,11 @@ func (b *Builder) Ite(cond, then, els *Term) *Term {
 	return b.intern(&Term{Op: OpIte, Width: then.Width, Args: []*Term{cond, then, els}})
 }
 
-// BoolAnd / BoolOr / BoolNot are 1-bit logical helpers.
-func (b *Builder) BoolAnd(x, y *Term) *Term { return b.And(x, y) }
-func (b *Builder) BoolOr(x, y *Term) *Term  { return b.Or(x, y) }
-func (b *Builder) BoolNot(x *Term) *Term    { return b.Not(x) }
-
 // Implies builds x -> y over 1-bit terms.
 func (b *Builder) Implies(x, y *Term) *Term { return b.Or(b.Not(x), y) }
 
 // Ne is the negated equality predicate.
 func (b *Builder) Ne(x, y *Term) *Term { return b.Not(b.Eq(x, y)) }
-
-// PopCountConst is a helper used in tests.
-func PopCountConst(v uint64) int { return bits.OnesCount64(v) }
 
 // CommEqual reports whether x and y are equal up to the operand order of
 // commutative operators (and, or, xor, add, mul, eq) anywhere in their

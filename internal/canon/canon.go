@@ -245,14 +245,8 @@ func (f *Form) FromCanon(q *x64.Program) (*x64.Program, bool) {
 // GPRToCanon(r).
 func (f *Form) GPRToCanon(r x64.Reg) x64.Reg { return f.toCanon[r] }
 
-// GPRFromCanon is the inverse of GPRToCanon.
-func (f *Form) GPRFromCanon(r x64.Reg) x64.Reg { return f.fromCanon[r] }
-
 // XMMToCanon maps an XMM register index to its canonical name.
 func (f *Form) XMMToCanon(r x64.Reg) x64.Reg { return f.xmmTo[r] }
-
-// XMMFromCanon is the inverse of XMMToCanon.
-func (f *Form) XMMFromCanon(r x64.Reg) x64.Reg { return f.xmmFrom[r] }
 
 // SubstituteConsts returns a copy of p with every immediate and
 // displacement equal to old[i] replaced by new[i] — the near-miss

@@ -134,9 +134,7 @@ func MeasureEvalThroughput(proposals int64) (EvalBaseline, error) {
 			res := s.Run(context.Background(), startProg, proposals)
 			dur := time.Since(start)
 			if mi == 1 {
-				if w := res.Stats.RegWritingSlots; w > 0 {
-					regFree = float64(res.Stats.RegFreeSlots) / float64(w)
-				}
+				regFree = res.Stats.RegFreeFraction()
 			}
 			rate := float64(proposals) / dur.Seconds()
 			rates[mi] = rate

@@ -38,19 +38,18 @@ func xor(x, y cc.Expr) cc.Expr  { return cc.B(cc.OpXor, x, y) }
 // typed constant helpers
 func c32(v int64) cc.Expr { return cc.C(v, i32) }
 
-func shl32(x cc.Expr, k int64) cc.Expr { return cc.B(cc.OpShl, x, c32(k)) }
-func lshr(x cc.Expr, k int64) cc.Expr  { return cc.B(cc.OpLshr, x, c32(k)) }
-func ashr(x cc.Expr, k int64) cc.Expr  { return cc.B(cc.OpAshr, x, c32(k)) }
-func not(x cc.Expr) cc.Expr            { return cc.U(cc.OpNot, x) }
-func neg(x cc.Expr) cc.Expr            { return cc.U(cc.OpNeg, x) }
-func eq(x, y cc.Expr) cc.Expr          { return cc.B(cc.OpEq, x, y) }
-func ne(x, y cc.Expr) cc.Expr          { return cc.B(cc.OpNe, x, y) }
-func slt(x, y cc.Expr) cc.Expr         { return cc.B(cc.OpSlt, x, y) }
-func ule(x, y cc.Expr) cc.Expr         { return cc.B(cc.OpUle, x, y) }
-func ugt(x, y cc.Expr) cc.Expr         { return cc.B(cc.OpUgt, x, y) }
-func ret(x cc.Expr) []cc.Stmt          { return []cc.Stmt{&cc.Return{X: x}} }
-func let(n string, x cc.Expr) *cc.Let  { return &cc.Let{Name: n, X: x} }
-func v32(n string) cc.Expr             { return cc.V(n, i32) }
+func lshr(x cc.Expr, k int64) cc.Expr { return cc.B(cc.OpLshr, x, c32(k)) }
+func ashr(x cc.Expr, k int64) cc.Expr { return cc.B(cc.OpAshr, x, c32(k)) }
+func not(x cc.Expr) cc.Expr           { return cc.U(cc.OpNot, x) }
+func neg(x cc.Expr) cc.Expr           { return cc.U(cc.OpNeg, x) }
+func eq(x, y cc.Expr) cc.Expr         { return cc.B(cc.OpEq, x, y) }
+func ne(x, y cc.Expr) cc.Expr         { return cc.B(cc.OpNe, x, y) }
+func slt(x, y cc.Expr) cc.Expr        { return cc.B(cc.OpSlt, x, y) }
+func ule(x, y cc.Expr) cc.Expr        { return cc.B(cc.OpUle, x, y) }
+func ugt(x, y cc.Expr) cc.Expr        { return cc.B(cc.OpUgt, x, y) }
+func ret(x cc.Expr) []cc.Stmt         { return []cc.Stmt{&cc.Return{X: x}} }
+func let(n string, x cc.Expr) *cc.Let { return &cc.Let{Name: n, X: x} }
+func v32(n string) cc.Expr            { return cc.V(n, i32) }
 
 // hdDef describes one Hacker's Delight kernel.
 type hdDef struct {

@@ -112,12 +112,3 @@ func ByName(name string) (Bench, error) {
 	}
 	return Bench{}, fmt.Errorf("kernels: unknown benchmark %q", name)
 }
-
-// Names lists the benchmark names in suite order.
-func Names() []string {
-	var out []string
-	for _, b := range All() {
-		out = append(out, b.Name)
-	}
-	return out
-}

@@ -178,6 +178,26 @@ type Stats struct {
 	RegWritingSlots int64
 }
 
+// Add accumulates o into s.
+func (s *Stats) Add(o Stats) {
+	s.Proposals += o.Proposals
+	s.Accepts += o.Accepts
+	s.TestsEvaluated += o.TestsEvaluated
+	s.RegFreeSlots += o.RegFreeSlots
+	s.RegWritingSlots += o.RegWritingSlots
+}
+
+// RegFreeFraction is the dynamic fraction of register-writing slots whose
+// writes the register-liveness pass suppressed (RegFreeSlots over
+// RegWritingSlots), or zero when the pass was off or nothing wrote a
+// register.
+func (s Stats) RegFreeFraction() float64 {
+	if s.RegWritingSlots == 0 {
+		return 0
+	}
+	return float64(s.RegFreeSlots) / float64(s.RegWritingSlots)
+}
+
 // Sampler runs one MCMC chain. It is not safe for concurrent use; parallel
 // search runs one Sampler per goroutine (§5.3).
 type Sampler struct {

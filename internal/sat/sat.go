@@ -118,9 +118,6 @@ func New() *Solver {
 	return s
 }
 
-// NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.assign) }
-
 // Conflicts returns the total conflicts encountered so far.
 func (s *Solver) Conflicts() int64 { return s.conflicts }
 

@@ -14,9 +14,13 @@
 //     the pool instead of per-chain bests, and chains whose own best is
 //     hopeless (outside the re-rank window) and stagnant abandon their
 //     line and reseed from the global best.
-//   - Counterexample broadcast: a counterexample found validating one
-//     chain's candidate refines every live chain's testcase set, not just
-//     the finder's, and grows the shared rejection profile with it.
+//   - Counterexample broadcast: a counterexample the Validate hook returns
+//     for the pool head refines every live chain's testcase set, not just
+//     the finder's.
+//
+// The coordinator is a pure chain scheduler: whether a pool head is worth
+// a proof, and what a counterexample does to τ and the shared rejection
+// profile, is the Validate hook's business.
 //
 // Chains run in cadenced segments scheduled as independent tasks on the
 // engine's worker pool, with a barrier between rounds. All coordination —
@@ -36,7 +40,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/cost"
 	"repro/internal/mcmc"
 	"repro/internal/testgen"
 	"repro/internal/x64"
@@ -75,48 +78,20 @@ type Config struct {
 
 	// PruneAfter reseeds a chain from the global best correct program
 	// once its own best has not improved for this many proposals while
-	// sitting outside PruneWindow times the global best cost. Zero
+	// sitting outside DefaultPruneWindow times the global best cost. Zero
 	// disables pruning.
-	PruneAfter  int64
-	PruneWindow float64 // 0 takes DefaultPruneWindow
-
-	// PoolSize bounds the global candidate pool (0 takes
-	// DefaultPoolSize).
-	PoolSize int
-
-	// Tests is the number of testcases the chains started with; it tracks
-	// broadcast growth so the shared profile can be resized.
-	Tests int
-
-	// Profile, when set, is grown alongside counterexample broadcasts.
-	Profile *cost.SharedProfile
+	PruneAfter int64
 
 	// Validate, when set, is called at barriers every ValidateEvery
-	// rounds with the current global best correct candidate. It returns
-	// counterexample testcases to broadcast to every live chain (nil when
-	// the candidate verified, was seen before, or produced no genuine
-	// counterexample). It runs on the driving goroutine with every chain
-	// paused, so broadcast points are deterministic.
+	// rounds with the pool head: the global best correct candidate and its
+	// pool cost. It decides whether the head is worth a proof now, and
+	// returns counterexample testcases to broadcast to every live chain
+	// (nil when it skipped or deferred the proof, the candidate verified
+	// or was seen before, or no genuine counterexample came back). It runs
+	// on the driving goroutine with every chain paused, so broadcast
+	// points are deterministic.
 	ValidateEvery int
-	Validate      func(best *x64.Program) []testgen.Testcase
-
-	// IncumbentCost, when set, makes scheduled validation cost-aware: the
-	// SAT validator is only invoked when the pool head's modelled cost
-	// beats the current incumbent's (the best already-proven rewrite —
-	// initially the target, which is correct by construction). A pool
-	// head that could not displace the incumbent in the final re-ranking
-	// is not worth a proof; such rounds are counted as skipped
-	// validations instead of spending SAT time.
-	IncumbentCost func() float64
-
-	// Defer, when set, is consulted after the cost-aware gate and before
-	// Validate: returning true postpones this round's proof of the pool
-	// head to a later validation round. It is the pre-verification gate's
-	// hook — a deferred candidate is re-offered at every subsequent
-	// scheduled round (the gate itself bounds how often it says true for
-	// one candidate), so deferral delays a proof but never skips it: no
-	// candidate is accepted on the gate's word alone.
-	Defer func(best *x64.Program) bool
+	Validate      func(head Candidate) []testgen.Testcase
 
 	// OnSwap and OnPrune observe coordination decisions (event streams).
 	OnSwap  func(i, j int, ci, cj float64)
@@ -146,12 +121,9 @@ type Coordinator struct {
 	lastBest []float64
 	stale    []int64
 
-	round       int64
-	swaps       int
-	prunes      int
-	skippedVals int
-	deferrals   int
-	tests       int
+	round  int64
+	swaps  int
+	prunes int
 }
 
 // New builds a coordinator over already-begun runs. All runs must share
@@ -160,12 +132,6 @@ func New(cfg Config, runs []*mcmc.Run) *Coordinator {
 	if cfg.Cadence <= 0 {
 		cfg.Cadence = DefaultCadence
 	}
-	if cfg.PruneWindow <= 0 {
-		cfg.PruneWindow = DefaultPruneWindow
-	}
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = DefaultPoolSize
-	}
 	c := &Coordinator{
 		cfg:      cfg,
 		runs:     runs,
@@ -173,7 +139,6 @@ func New(cfg Config, runs []*mcmc.Run) *Coordinator {
 		poolKeys: make(map[string]bool),
 		lastBest: make([]float64, len(runs)),
 		stale:    make([]int64, len(runs)),
-		tests:    cfg.Tests,
 	}
 	for i := range c.lastBest {
 		c.lastBest[i] = math.Inf(1)
@@ -218,20 +183,7 @@ func (c *Coordinator) barrier() {
 	c.prune()
 	if c.cfg.Validate != nil && c.cfg.ValidateEvery > 0 &&
 		c.round%int64(c.cfg.ValidateEvery) == 0 && len(c.pool) > 0 {
-		if c.cfg.IncumbentCost != nil && c.pool[0].Cost >= c.cfg.IncumbentCost() {
-			// Cost-aware gate: the pool head cannot beat the proven
-			// incumbent, so a proof would be wasted SAT time.
-			c.skippedVals++
-			return
-		}
-		if c.cfg.Defer != nil && c.cfg.Defer(c.pool[0].Prog) {
-			// Pre-verification gate: low-scoring pool head, proof deferred
-			// to a later scheduled round (never skipped — the gate bounds
-			// its own deferrals per candidate).
-			c.deferrals++
-			return
-		}
-		if tcs := c.cfg.Validate(c.pool[0].Prog); len(tcs) > 0 {
+		if tcs := c.cfg.Validate(c.pool[0]); len(tcs) > 0 {
 			c.broadcast(tcs)
 		}
 	}
@@ -294,16 +246,17 @@ func (c *Coordinator) offer(p *x64.Program, cst float64) {
 	c.poolKeys[key] = true
 	c.pool = append(c.pool, Candidate{Prog: p.Clone(), Cost: cst})
 	sort.SliceStable(c.pool, func(a, b int) bool { return c.pool[a].Cost < c.pool[b].Cost })
-	if len(c.pool) > c.cfg.PoolSize {
-		c.pool = c.pool[:c.cfg.PoolSize]
+	if len(c.pool) > DefaultPoolSize {
+		c.pool = c.pool[:DefaultPoolSize]
 	}
 }
 
 // prune reseeds chains whose own best correct program is both stagnant
 // (no improvement for PruneAfter proposals of barrier-observed history)
-// and hopeless (outside PruneWindow of the global best, or absent): their
-// restarts could only ever rewind to a program the final re-ranking will
-// discard, so they adopt the global best instead and explore from there.
+// and hopeless (outside DefaultPruneWindow of the global best, or
+// absent): their restarts could only ever rewind to a program the final
+// re-ranking will discard, so they adopt the global best instead and
+// explore from there.
 func (c *Coordinator) prune() {
 	if c.cfg.PruneAfter <= 0 || len(c.pool) == 0 {
 		return
@@ -320,7 +273,7 @@ func (c *Coordinator) prune() {
 			c.stale[i] += c.cfg.Cadence
 		}
 		c.lastBest[i] = bcCost
-		if c.stale[i] < c.cfg.PruneAfter || bcCost <= gbest.Cost*c.cfg.PruneWindow {
+		if c.stale[i] < c.cfg.PruneAfter || bcCost <= gbest.Cost*DefaultPruneWindow {
 			continue
 		}
 		r.Adopt(gbest.Prog)
@@ -333,18 +286,14 @@ func (c *Coordinator) prune() {
 	}
 }
 
-// broadcast folds counterexample testcases into every chain and the
-// shared profile, then rebuilds the pool: entries predating the refined τ
+// broadcast folds counterexample testcases into every chain, then
+// rebuilds the pool: entries predating the refined τ
 // may no longer be correct, and the surviving ones re-enter from the
 // chains' re-checked bests at the harvest that follows. Finished chains
 // fold too — they take no more proposals, but AddTests re-scores their
 // best against the refined τ, so a refuted program cannot re-enter the
 // pool at a stale cost and become a poisoned prune/re-rank source.
 func (c *Coordinator) broadcast(tcs []testgen.Testcase) {
-	c.tests += len(tcs)
-	if c.cfg.Profile != nil {
-		c.cfg.Profile.Grow(c.tests)
-	}
 	for _, r := range c.runs {
 		r.AddTests(tcs)
 	}
@@ -373,14 +322,6 @@ func (c *Coordinator) Swaps() int { return c.swaps }
 
 // Prunes reports shared-best reseeds of stagnant chains.
 func (c *Coordinator) Prunes() int { return c.prunes }
-
-// SkippedValidations reports scheduled validation rounds skipped by the
-// cost-aware gate (pool head no better than the proven incumbent).
-func (c *Coordinator) SkippedValidations() int { return c.skippedVals }
-
-// Deferrals reports scheduled validation rounds postponed by the
-// pre-verification gate (Config.Defer returned true).
-func (c *Coordinator) Deferrals() int { return c.deferrals }
 
 // Ladder builds the default β ladder for n replicas: a mostly-cold shape
 // with the leading replicas at the phase's base β (matching the paper's

@@ -102,8 +102,6 @@ func TestDeterministicAcrossSchedules(t *testing.T) {
 			Exchange:   true,
 			Cadence:    512,
 			PruneAfter: 2048,
-			Tests:      len(f.tests),
-			Profile:    prof,
 		}, f.runs(4, 100, 20000, prof))
 		c.Drive(context.Background(), batch)
 		return c, c.Results()
@@ -141,14 +139,14 @@ func TestDeterministicAcrossSchedules(t *testing.T) {
 // ladder interference on the coin schedule).
 func TestExchangeHappens(t *testing.T) {
 	f := newFixture(t)
-	c := New(Config{Seed: 3, Exchange: true, Cadence: 256, Tests: len(f.tests)},
+	c := New(Config{Seed: 3, Exchange: true, Cadence: 256},
 		f.runs(4, 7, 30000, nil))
 	c.Drive(context.Background(), serialBatch)
 	if c.Swaps() == 0 {
 		t.Fatal("replica exchange never accepted a swap over 4 replicas x 30k proposals")
 	}
 
-	off := New(Config{Seed: 3, Exchange: false, Cadence: 256, Tests: len(f.tests)},
+	off := New(Config{Seed: 3, Exchange: false, Cadence: 256},
 		f.runs(4, 7, 30000, nil))
 	off.Drive(context.Background(), serialBatch)
 	if off.Swaps() != 0 {
@@ -171,9 +169,8 @@ func TestBroadcastRefinesEveryChain(t *testing.T) {
 		Seed:          5,
 		Exchange:      true,
 		Cadence:       512,
-		Tests:         len(f.tests),
 		ValidateEvery: 1,
-		Validate: func(best *x64.Program) []testgen.Testcase {
+		Validate: func(Candidate) []testgen.Testcase {
 			if fired > 0 {
 				return nil
 			}
@@ -196,92 +193,13 @@ func TestBroadcastRefinesEveryChain(t *testing.T) {
 	}
 }
 
-// TestCostAwareValidationGate: with IncumbentCost set, scheduled
-// validation rounds only invoke the validator when the pool head's
-// modelled cost beats the incumbent's; gated rounds count as skipped.
-func TestCostAwareValidationGate(t *testing.T) {
-	f := newFixture(t)
-
-	// An unbeatable incumbent (cost 0): every scheduled round is gated,
-	// the validator never runs.
-	fired := 0
-	c := New(Config{
-		Seed:          5,
-		Cadence:       512,
-		Tests:         len(f.tests),
-		ValidateEvery: 1,
-		Validate: func(best *x64.Program) []testgen.Testcase {
-			fired++
-			return nil
-		},
-		IncumbentCost: func() float64 { return 0 },
-	}, f.runs(2, 11, 6000, nil))
-	c.Drive(context.Background(), serialBatch)
-	if fired != 0 {
-		t.Fatalf("validator fired %d times against an unbeatable incumbent", fired)
-	}
-	if c.SkippedValidations() == 0 {
-		t.Fatal("no skipped validations counted")
-	}
-
-	// A hopeless incumbent: every scheduled round with a non-empty pool
-	// validates, none are skipped — same behaviour as before the gate.
-	fired = 0
-	c = New(Config{
-		Seed:          5,
-		Cadence:       512,
-		Tests:         len(f.tests),
-		ValidateEvery: 1,
-		Validate: func(best *x64.Program) []testgen.Testcase {
-			fired++
-			return nil
-		},
-		IncumbentCost: func() float64 { return math.Inf(1) },
-	}, f.runs(2, 11, 6000, nil))
-	c.Drive(context.Background(), serialBatch)
-	if fired == 0 {
-		t.Fatal("validator never fired against a hopeless incumbent")
-	}
-	if c.SkippedValidations() != 0 {
-		t.Fatalf("%d validations skipped against a hopeless incumbent", c.SkippedValidations())
-	}
-
-	// The gate reopens when the incumbent worsens relative to the pool:
-	// start unbeatable, then hand the win to the pool head mid-run.
-	fired = 0
-	incumbent := 0.0
-	c = New(Config{
-		Seed:          5,
-		Cadence:       512,
-		Tests:         len(f.tests),
-		ValidateEvery: 1,
-		Validate: func(best *x64.Program) []testgen.Testcase {
-			fired++
-			return nil
-		},
-		IncumbentCost: func() float64 { return incumbent },
-	}, f.runs(2, 11, 6000, nil))
-	gateOpened := false
-	c.cfg.OnSwap = nil // (documenting: no coordination side effects needed)
-	c.Drive(context.Background(), func(bodies []func()) {
-		serialBatch(bodies)
-		if !gateOpened && c.SkippedValidations() > 0 {
-			incumbent = math.Inf(1)
-			gateOpened = true
-		}
-	})
-	if !gateOpened || fired == 0 {
-		t.Fatalf("gate never reopened: opened=%v fired=%d", gateOpened, fired)
-	}
-}
-
 // TestCancellationDrainsWithoutDeadlock cancels mid-run under a
 // pool-like batch executor and requires Drive to return promptly with
 // harvestable results — the mid-swap cancellation contract.
 func TestCancellationDrainsWithoutDeadlock(t *testing.T) {
 	f := newFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	c := New(Config{Seed: 1, Exchange: true, Cadence: 1024, Tests: len(f.tests)},
+	c := New(Config{Seed: 1, Exchange: true, Cadence: 1024},
 		f.runs(4, 20, 1<<40, nil))
 	go func() {
 		time.Sleep(50 * time.Millisecond)
@@ -310,7 +228,7 @@ func TestCancellationDrainsWithoutDeadlock(t *testing.T) {
 // pool.
 func TestSingleChainGroup(t *testing.T) {
 	f := newFixture(t)
-	c := New(Config{Seed: 13, Exchange: true, Cadence: 512, Tests: len(f.tests)},
+	c := New(Config{Seed: 13, Exchange: true, Cadence: 512},
 		f.runs(1, 21, 8000, nil))
 	c.Drive(context.Background(), serialBatch)
 	if c.Swaps() != 0 {
@@ -347,82 +265,5 @@ func TestLadder(t *testing.T) {
 	}
 	if one := Ladder(0.5, 1, 2.0); len(one) != 1 || one[0] != 0.5 {
 		t.Fatalf("single-replica ladder must be the base alone, got %v", one)
-	}
-}
-
-// TestDeferHookPostponesValidation: the Defer hook postpones scheduled
-// validation rounds (counted as deferrals, validator untouched), runs only
-// after the cost-aware incumbent gate, and a false answer lets validation
-// proceed as before.
-func TestDeferHookPostponesValidation(t *testing.T) {
-	f := newFixture(t)
-
-	// Always-defer: the validator never runs, every consulted round counts.
-	fired, consulted := 0, 0
-	c := New(Config{
-		Seed:          5,
-		Cadence:       512,
-		Tests:         len(f.tests),
-		ValidateEvery: 1,
-		Validate: func(best *x64.Program) []testgen.Testcase {
-			fired++
-			return nil
-		},
-		Defer: func(best *x64.Program) bool {
-			consulted++
-			return true
-		},
-	}, f.runs(2, 11, 6000, nil))
-	c.Drive(context.Background(), serialBatch)
-	if fired != 0 {
-		t.Fatalf("validator fired %d times under an always-defer gate", fired)
-	}
-	if consulted == 0 || c.Deferrals() != consulted {
-		t.Fatalf("Deferrals %d, consulted %d: every consult must count", c.Deferrals(), consulted)
-	}
-
-	// Never-defer: behaviour identical to no hook at all.
-	fired = 0
-	c = New(Config{
-		Seed:          5,
-		Cadence:       512,
-		Tests:         len(f.tests),
-		ValidateEvery: 1,
-		Validate: func(best *x64.Program) []testgen.Testcase {
-			fired++
-			return nil
-		},
-		Defer: func(best *x64.Program) bool { return false },
-	}, f.runs(2, 11, 6000, nil))
-	c.Drive(context.Background(), serialBatch)
-	if fired == 0 {
-		t.Fatal("validator never fired under a never-defer gate")
-	}
-	if c.Deferrals() != 0 {
-		t.Fatalf("%d deferrals counted when the gate never deferred", c.Deferrals())
-	}
-
-	// Ordering: an unbeatable incumbent gates the round before the Defer
-	// hook is ever consulted — skips and deferrals stay distinct counters.
-	consulted = 0
-	c = New(Config{
-		Seed:          5,
-		Cadence:       512,
-		Tests:         len(f.tests),
-		ValidateEvery: 1,
-		Validate:      func(best *x64.Program) []testgen.Testcase { return nil },
-		IncumbentCost: func() float64 { return 0 },
-		Defer: func(best *x64.Program) bool {
-			consulted++
-			return true
-		},
-	}, f.runs(2, 11, 6000, nil))
-	c.Drive(context.Background(), serialBatch)
-	if consulted != 0 {
-		t.Fatalf("Defer consulted %d times behind a closed incumbent gate", consulted)
-	}
-	if c.Deferrals() != 0 || c.SkippedValidations() == 0 {
-		t.Fatalf("skips/deferrals conflated: deferrals=%d skips=%d",
-			c.Deferrals(), c.SkippedValidations())
 	}
 }

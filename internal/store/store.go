@@ -318,27 +318,15 @@ func (s *Store) lookup(fp string, consts []int64) (*Entry, bool) {
 		s.lru.MoveToFront(el)
 		return el.Value.(*Entry), true
 	}
-	if s.path == "" || !contains(s.byFP[fp], key) {
+	if !contains(s.byFP[fp], key) {
 		return nil, false
 	}
 	// Evicted but on disk: rescan for the latest record under this key.
-	f, err := os.Open(s.path)
-	if err != nil {
-		return nil, false
+	found, ok := s.scanKey(key)
+	if ok {
+		s.insert(found, false)
 	}
-	defer f.Close()
-	s.stats.DiskReads++
-	var found *Entry
-	s.scan(f, func(e *Entry) {
-		if Key(e.FP, e.Consts) == key {
-			found = e
-		}
-	})
-	if found == nil {
-		return nil, false
-	}
-	s.insert(found, false)
-	return found, true
+	return found, ok
 }
 
 // Near returns every stored entry in fp's fingerprint class — the same
@@ -396,24 +384,7 @@ func (s *Store) Put(e *Entry) error {
 	if s.path == "" {
 		return nil
 	}
-	line, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	f, err := os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	_, werr := f.Write(append(line, '\n'))
-	cerr := f.Close()
-	if werr != nil || cerr != nil {
-		return fmt.Errorf("store: append: %w", firstErr(werr, cerr))
-	}
-	s.appended++
-	if s.appended > 64 && s.appended > 2*s.keyCount() {
-		return s.compactLocked()
-	}
-	return nil
+	return s.appendLocked(e)
 }
 
 // AddCexs merges cexs (in canonical register space) into the global
@@ -432,12 +403,17 @@ func (s *Store) AddCexs(cexs []Cex) error {
 	if !added || s.path == "" {
 		return nil
 	}
-	e := &Entry{
+	return s.appendLocked(&Entry{
 		Version: Version,
 		FP:      bankFP,
 		BankV:   BankVersion,
 		Bank:    append([]Cex(nil), s.bank...),
-	}
+	})
+}
+
+// appendLocked appends e's record to the log and compacts the log when it
+// has outgrown the live set; caller holds mu and has a path.
+func (s *Store) appendLocked(e *Entry) error {
 	line, err := json.Marshal(e)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)

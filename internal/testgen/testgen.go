@@ -212,12 +212,6 @@ func (a *Arena) SetReg(r x64.Reg, v uint64) {
 	a.s.RegDef |= 1 << r
 }
 
-// SetXmm sets an input XMM register to a defined value.
-func (a *Arena) SetXmm(r x64.Reg, v [2]uint64) {
-	a.s.Xmm[r] = v
-	a.s.XmmDef |= 1 << r
-}
-
 // Alloc reserves size bytes (16-byte aligned), fills them with data, and
 // returns the base address. All bytes are defined and sandbox-valid until
 // the instrumented target run narrows validity.

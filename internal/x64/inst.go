@@ -37,13 +37,6 @@ func MakeCCInst(op Opcode, cc Cond, operands ...Operand) Inst {
 // empty instruction slot in a fixed-length candidate sequence.
 func Unused() Inst { return Inst{Op: UNUSED} }
 
-// IsUnused reports whether the instruction is the UNUSED token.
-func (in Inst) IsUnused() bool { return in.Op == UNUSED }
-
-// Operands returns the populated operand slice (aliasing the instruction's
-// backing array; callers must not hold it across mutation).
-func (in *Inst) Operands() []Operand { return in.Opd[:in.N] }
-
 // Validate checks the instruction against the opcode table: its operands
 // must match one of the opcode's signatures, condition codes must appear
 // exactly on cc-carrying opcodes, and fixed-register constraints (shift

@@ -65,12 +65,6 @@ func R(r Reg, width uint8) Operand { return Operand{Kind: KindReg, Reg: r, Width
 // R64 returns a 64-bit register operand.
 func R64(r Reg) Operand { return R(r, 8) }
 
-// R32 returns a 32-bit register operand.
-func R32(r Reg) Operand { return R(r, 4) }
-
-// R16 returns a 16-bit register operand.
-func R16(r Reg) Operand { return R(r, 2) }
-
 // R8L returns an 8-bit (low byte) register operand.
 func R8L(r Reg) Operand { return R(r, 1) }
 
@@ -93,14 +87,8 @@ func MemSIB(base, index Reg, scale uint8, disp int32, width uint8) Operand {
 // LabelRef returns a label-reference operand for branches.
 func LabelRef(id int32) Operand { return Operand{Kind: KindLabel, Label: id} }
 
-// IsReg reports whether o is a GPR operand.
-func (o Operand) IsReg() bool { return o.Kind == KindReg }
-
 // IsMem reports whether o is a memory operand.
 func (o Operand) IsMem() bool { return o.Kind == KindMem }
-
-// IsImm reports whether o is an immediate operand.
-func (o Operand) IsImm() bool { return o.Kind == KindImm }
 
 // IsXmm reports whether o is an XMM register operand.
 func (o Operand) IsXmm() bool { return o.Kind == KindXmm }

@@ -43,31 +43,6 @@ func (p *Program) InstCount() int {
 	return n
 }
 
-// MaxLabel returns the largest label id mentioned by p, or -1 if none.
-func (p *Program) MaxLabel() int32 {
-	max := int32(-1)
-	for _, in := range p.Insts {
-		for i := uint8(0); i < in.N; i++ {
-			if in.Opd[i].Kind == KindLabel && in.Opd[i].Label > max {
-				max = in.Opd[i].Label
-			}
-		}
-	}
-	return max
-}
-
-// LabelIndex returns a map from label id to the slot index of its LABEL
-// pseudo-instruction.
-func (p *Program) LabelIndex() map[int32]int {
-	m := make(map[int32]int)
-	for i, in := range p.Insts {
-		if in.Op == LABEL {
-			m[in.Opd[0].Label] = i
-		}
-	}
-	return m
-}
-
 // Validate checks every instruction and the control-flow discipline: every
 // referenced label must be defined exactly once, and, because candidate
 // programs are loop-free (§1), every jump must target a label at a strictly
@@ -100,27 +75,6 @@ func (p *Program) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Registers read before being written, over a straight-line approximation
-// (all paths). Useful for sanity-checking declared live-in sets.
-func (p *Program) UpwardExposedGPRs() RegSet {
-	var written, exposed RegSet
-	for _, in := range p.Insts {
-		e := EffectsOf(in)
-		exposed |= e.GPRRead &^ written
-		written |= e.GPRWrite
-	}
-	return exposed
-}
-
-// WrittenGPRs returns every general purpose register any instruction writes.
-func (p *Program) WrittenGPRs() RegSet {
-	var w RegSet
-	for _, in := range p.Insts {
-		w |= EffectsOf(in).GPRWrite
-	}
-	return w
 }
 
 // String renders the program as assembly text, omitting UNUSED slots.

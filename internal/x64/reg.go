@@ -235,9 +235,6 @@ func (s RegSet) With(r Reg) RegSet {
 	return s | 1<<r
 }
 
-// Union returns the union of s and t.
-func (s RegSet) Union(t RegSet) RegSet { return s | t }
-
 // Count returns the number of registers in the set.
 func (s RegSet) Count() int {
 	n := 0

@@ -195,21 +195,14 @@ func cachePut(k Kernel, st *settings, form *canon.Form, rep *Report,
 			Verdict:     rep.Verdict.String(),
 		},
 	}
-	for _, tc := range tests[generated:] {
-		cx := store.Cex{Flags: uint8(tc.In.Flags)}
-		cx.Regs = tc.In.Regs
-		cx.Xmm = tc.In.Xmm
-		entry.Cexs = append(entry.Cexs, cx)
-	}
 	// The Bank field carries the same counterexamples in canonical space
 	// (versioned separately), so any α-renamed sibling submission — whose
 	// registers this kernel's Cexs say nothing about — replays them
 	// correctly, and the store folds them into the global bank on load.
-	if len(entry.Cexs) > 0 {
+	for _, tc := range tests[generated:] {
+		entry.Cexs = append(entry.Cexs, store.Cex{Regs: tc.In.Regs, Xmm: tc.In.Xmm, Flags: uint8(tc.In.Flags)})
+		entry.Bank = append(entry.Bank, canonCex(form, tc.In))
 		entry.BankV = store.BankVersion
-		for _, tc := range tests[generated:] {
-			entry.Bank = append(entry.Bank, canonCex(form, tc.In))
-		}
 	}
 	_ = st.store.Put(entry) // persistence failure degrades to cache-cold, never fails the run
 }

@@ -45,8 +45,10 @@
 // (parallel tempering), shares every chain's best correct program through
 // a global pool that re-ranking draws from and that stagnant chains reseed
 // from, warm-starts testcase orders from a cross-chain rejection profile,
-// and runs the validator mid-search so a counterexample found against one
-// chain's candidate refines every live chain's testcases. Coordination
+// and offers the pool head to the run's verifier mid-search so a
+// counterexample found against one chain's candidate refines every live
+// chain's testcases. The coordinator only schedules: whether the head is
+// worth a proof now is the verifier's decision (below). Coordination
 // surfaces as EventSwap and EventPrune events and the Report's Swaps and
 // Prunes counters, and every decision happens on a seeded schedule:
 // fixed-seed runs are bit-for-bit reproducible whatever the pool width.
@@ -76,7 +78,11 @@
 // # Verification pipeline
 //
 // Candidates reaching the validator are not sent straight to the SAT
-// solver; each one runs the ordering replay → gate → SAT:
+// solver. Mid-search, a pool head whose modelled cost does not beat the
+// best rewrite proven so far (initially the target) is skipped outright:
+// it cannot displace that incumbent in the final re-ranking
+// (Report.SkippedValidations). Every other candidate runs through
+// replay, the gate (mid-search only, and ahead of replay) and SAT:
 //
 //   - Counterexample replay. Every genuine counterexample any run
 //     discovers is canonicalised (internal/canon register bijections) into

@@ -28,9 +28,8 @@ const (
 )
 
 // settings is the resolved configuration of one run. It is private: callers
-// configure runs exclusively through functional options, which — unlike the
-// old zero-value-defaulted struct — can explicitly set a knob to zero
-// (skip the synthesis phase, ...).
+// configure runs exclusively through functional options, which can
+// explicitly set a knob to zero (skip the synthesis phase, ...).
 type settings struct {
 	seed           int64
 	synthChains    int

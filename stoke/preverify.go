@@ -1,11 +1,17 @@
-// The verification-cost reduction layer in front of verify.Equivalent:
-// banked-counterexample replay (a candidate refuted by a concrete replayed
-// divergence never reaches the solver), the feature-based pre-verification
-// gate (low-scoring candidates have their mid-search proof deferred — and
-// only deferred — to a later validation round), and per-query proof-cost
-// accounting. The ordering is replay → gate → SAT, and every shortcut is
+// The proof policy of a run and the verification-cost reduction layer in
+// front of verify.Equivalent: the cost-aware skip of mid-search pool heads
+// that cannot beat the proven incumbent, banked-counterexample replay (a
+// candidate refuted by a concrete replayed divergence never reaches the
+// solver), the feature-based pre-verification gate (low-scoring
+// candidates have their mid-search proof deferred — and only deferred — to
+// a later validation round), and per-query proof-cost accounting.
+// Mid-search the ordering is skip → gate → replay → SAT; the end-of-round
+// validation loop runs replay → SAT. Every shortcut is
 // soundness-preserving by construction:
 //
+//   - The skip only *waits*. A skipped head is never reported; it reaches
+//     a verdict, if it is ever the final candidate, in the end-of-round
+//     validation loop.
 //   - Replay can only *refute*. A bank testcase is materialised by running
 //     the target concretely (testgen.FromInput), so a candidate failing it
 //     diverges from the target on a real input — the same evidence a
@@ -20,6 +26,7 @@
 package stoke
 
 import (
+	"context"
 	"math/rand"
 	"time"
 
@@ -27,6 +34,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/emu"
 	"repro/internal/perf"
+	"repro/internal/search"
 	"repro/internal/store"
 	"repro/internal/testgen"
 	"repro/internal/verify"
@@ -46,10 +54,9 @@ const gatePassScore = 0.6
 type checkOutcome struct {
 	verdict verify.Verdict
 
-	// tc is the refining testcase of a NotEqual outcome (refined true):
-	// a concrete input on which the candidate diverges from the target.
-	tc      testgen.Testcase
-	refined bool
+	// tc is the refining testcase of an uncached NotEqual outcome: a
+	// concrete input on which the candidate diverges from the target.
+	tc testgen.Testcase
 
 	// cached marks a verdict answered from the memo without any work this
 	// call (no event was emitted, nothing changed).
@@ -60,10 +67,13 @@ type checkOutcome struct {
 	replayKill bool
 }
 
-// verifier runs candidates through replay → SAT and owns the verdict memo
-// shared by the mid-search validator and the end-of-round validation loop.
-// It is driven from one goroutine at a time (coordinator barriers and the
-// end-of-round loop are sequential), so its state needs no locking.
+// verifier is a run's proof policy: it decides when a candidate is worth
+// a proof, runs it through replay → SAT, and folds counterexamples into τ.
+// It owns τ, the proven incumbent and the verdict memo shared by the
+// near-miss start proof, the mid-search validator and the end-of-round
+// validation loop. It is driven from one goroutine at a time (coordinator
+// barriers and the end-of-round loop are sequential), so its state needs
+// no locking.
 type verifier struct {
 	e   *Engine
 	st  *settings
@@ -71,16 +81,25 @@ type verifier struct {
 	m   *emu.Machine
 	rng *rand.Rand
 	rep *Report
+	ctx context.Context
 
 	// prove runs one SAT equivalence query on the engine's pool and
-	// reports its wall-clock.
+	// reports its wall-clock. It is the seam tests stub.
 	prove func(cand *x64.Program) (verify.Result, time.Duration)
 
-	// curTests exposes the run's live (refined) testcase slice.
-	curTests func() []testgen.Testcase
+	// tests is τ, the run's live testcase set: generated testcases, a near
+	// miss's replayed counterexamples, and every refinement since. prof is
+	// the kernel-wide rejection profile (nil under independent chains),
+	// grown with τ.
+	tests []testgen.Testcase
+	prof  *cost.SharedProfile
 
-	// incumbentH exposes the Eq.13 cost of the best proven rewrite.
-	incumbentH func() float64
+	// incumbentH is the modelled cost (Equation 13 latency sum — what an
+	// eq-zero pool entry's search cost reduces to in the optimization
+	// phase, whose chains run at perfWeight 1) of the best candidate
+	// proven Equal so far. The target, correct by construction, seeds it;
+	// a proven near-miss start may lower it before any chain runs.
+	incumbentH float64
 
 	// bank is the counterexample bank (the attached rewrite store, or the
 	// engine's private in-memory store).
@@ -161,7 +180,7 @@ func (v *verifier) check(cand *x64.Program) checkOutcome {
 		v.validated[key] = verify.NotEqual
 		v.rep.Proofs.ReplayKills++
 		v.e.emit(v.st, Event{Kind: EventReplayKill, Kernel: v.k.Name, Round: v.round})
-		return checkOutcome{verdict: verify.NotEqual, tc: tc, refined: true, replayKill: true}
+		return checkOutcome{verdict: verify.NotEqual, tc: tc, replayKill: true}
 	}
 
 	// --- SAT proof. ---
@@ -194,12 +213,18 @@ func (v *verifier) check(cand *x64.Program) checkOutcome {
 	}
 	v.validated[key] = verify.NotEqual
 	v.bankCex(tc)
-	return checkOutcome{verdict: verify.NotEqual, tc: tc, refined: true}
+	return checkOutcome{verdict: verify.NotEqual, tc: tc}
 }
 
 // sat runs one SAT equivalence query and records it in the proof profile.
+// An Equal lowers the incumbent: every proof the run spends — the near
+// miss's start, mid-search and end of round — goes through here.
 func (v *verifier) sat(cand *x64.Program) verify.Result {
 	res, dur := v.prove(cand)
+	v.rep.VerifyTime += dur
+	if res.Verdict == verify.Equal {
+		v.incumbentH = min(v.incumbentH, perf.H(cand))
+	}
 	v.rep.Proofs.SATCalls++
 	v.rep.Proofs.Times = append(v.rep.Proofs.Times, dur)
 	if res.Reason == verify.ReasonStructural {
@@ -277,9 +302,57 @@ func (v *verifier) replayKill(cand *x64.Program) (testgen.Testcase, bool) {
 	return testgen.Testcase{}, false
 }
 
-// shouldDefer is the pre-verification gate, wired as the coordinator's
-// Defer hook: true postpones the pool head's mid-search proof to a later
-// scheduled round. Already-concluded candidates and candidates at their
+// validate is the optimization coordinator's Validate hook: at a barrier
+// cadence it decides whether the pool head is worth a proof now, proves or
+// refutes it, and hands a genuine counterexample back as a testcase the
+// coordinator broadcasts to every live chain — not just the chain that
+// found the candidate.
+//
+// A head whose modelled cost does not beat the incumbent is skipped and
+// counted (Report.SkippedValidations): it cannot displace the incumbent in
+// the final re-ranking, so a proof would be wasted SAT time. A tie is
+// skipped deliberately; its verdict (and any counterexample) waits for the
+// end-of-round validation loop, which is gated only by the verdict memo.
+// Behind the skip, the pre-verification gate may defer the proof.
+func (v *verifier) validate(head search.Candidate) []testgen.Testcase {
+	if head.Cost >= v.incumbentH {
+		v.rep.SkippedValidations++
+		return nil
+	}
+	if v.shouldDefer(head.Prog) || v.ctx.Err() != nil {
+		return nil
+	}
+	out := v.check(head.Prog)
+	if out.cached {
+		return nil
+	}
+	if out.verdict == verify.Unknown && v.ctx.Err() != nil {
+		return nil // truncated proof, not a verdict
+	}
+	if !out.replayKill {
+		v.e.emit(v.st, Event{Kind: EventVerdict, Kernel: v.k.Name,
+			Round: v.round, Verdict: out.verdict})
+	}
+	if out.verdict != verify.NotEqual {
+		return nil
+	}
+	v.refine(out.tc)
+	return []testgen.Testcase{out.tc}
+}
+
+// refine folds a counterexample testcase into τ and keeps the shared
+// profile's counters covering it, so chains can learn (and later rounds
+// warm-start on) the new testcase's discriminating power.
+func (v *verifier) refine(tc testgen.Testcase) {
+	v.tests = append(v.tests[:len(v.tests):len(v.tests)], tc)
+	v.prof.Grow(len(v.tests))
+	v.rep.Refinements++
+	v.e.emit(v.st, Event{Kind: EventRefinement, Kernel: v.k.Name,
+		Round: v.round, Tests: len(v.tests)})
+}
+
+// shouldDefer is the pre-verification gate, consulted by validate: true
+// postpones the pool head's mid-search proof to a later scheduled round. Already-concluded candidates and candidates at their
 // deferral bound always proceed, and the end-of-round validation loop
 // never consults the gate — deferral trades *when* a proof runs, never
 // whether.
@@ -309,15 +382,15 @@ func (v *verifier) shouldDefer(cand *x64.Program) bool {
 // failed verification.
 func (v *verifier) gateScore(cand *x64.Program) float64 {
 	breadth := 1.0
-	if tests := v.curTests(); len(tests) > 0 {
-		f := cost.New(tests[:len(tests):len(tests)], v.k.Spec.LiveOut, cost.Strict, 0)
-		breadth = float64(f.Agreement(cand)) / float64(len(tests))
+	if n := len(v.tests); n > 0 {
+		f := cost.New(v.tests[:n:n], v.k.Spec.LiveOut, cost.Strict, 0)
+		breadth = float64(f.Agreement(cand)) / float64(n)
 	}
 
 	sim := 1 - opcodeDistance(v.targetOps, opcodeSet(cand))
 
 	plaus := 1.0
-	if inc := v.incumbentH(); inc > 0 {
+	if inc := v.incumbentH; inc > 0 {
 		mr := (inc - perf.H(cand)) / inc // fraction of the incumbent shaved off
 		if mr > 0.5 {
 			// Up to half off is an ordinary superoptimization win; beyond

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/emu"
 	"repro/internal/perf"
+	"repro/internal/search"
 	"repro/internal/store"
 	"repro/internal/testgen"
 	"repro/internal/verify"
@@ -81,15 +82,16 @@ func newTestVerifier(t *testing.T, k Kernel, bank *store.Store,
 	t.Cleanup(e.Close)
 	rep := &Report{Kernel: k.Name}
 	v := &verifier{
-		e: e, st: &st, k: k, m: emu.New(), rng: rng, rep: rep,
+		e: e, st: &st, k: k, m: emu.New(), rng: rng, rep: rep, ctx: context.Background(),
 		form:       canon.Canonicalize(k.Target, liveOutFor(k)),
 		bank:       bank,
 		bankRng:    rand.New(rand.NewSource(99)),
 		validated:  map[string]verify.Verdict{},
 		defers:     map[string]int{},
 		targetOps:  opcodeSet(k.Target),
-		curTests:   func() []testgen.Testcase { return tests },
-		incumbentH: func() float64 { return perf.H(k.Target) },
+		tests:      tests,
+		prof:       cost.NewSharedProfile(len(tests)),
+		incumbentH: perf.H(k.Target),
 		prove:      prove,
 	}
 	return v, rep
@@ -180,8 +182,8 @@ func TestModelMismatchSurfaced(t *testing.T) {
 	})
 
 	out := v.check(cand)
-	if out.verdict != verify.Unknown || out.refined {
-		t.Fatalf("mismatch outcome: verdict %v refined %v, want Unknown/unrefined", out.verdict, out.refined)
+	if out.verdict != verify.Unknown || out.cached {
+		t.Fatalf("mismatch outcome: verdict %v cached %v, want a fresh Unknown", out.verdict, out.cached)
 	}
 	if rep.Proofs.ModelMismatches != 1 {
 		t.Fatalf("ModelMismatches = %d, want 1", rep.Proofs.ModelMismatches)
@@ -234,9 +236,9 @@ func TestBankReplayAcrossRenamedKernels(t *testing.T) {
   addl r9d, ebx
 `)
 	out := v.check(impostor)
-	if out.verdict != verify.NotEqual || !out.replayKill || !out.refined {
-		t.Fatalf("outcome verdict %v replayKill %v refined %v, want replay-killed NotEqual",
-			out.verdict, out.replayKill, out.refined)
+	if out.verdict != verify.NotEqual || !out.replayKill || out.cached {
+		t.Fatalf("outcome verdict %v replayKill %v cached %v, want a fresh replay-killed NotEqual",
+			out.verdict, out.replayKill, out.cached)
 	}
 	if rep.Proofs.ReplayKills != 1 || rep.Proofs.SATCalls != 0 {
 		t.Fatalf("ReplayKills %d SATCalls %d, want 1 and 0", rep.Proofs.ReplayKills, rep.Proofs.SATCalls)
@@ -323,5 +325,101 @@ func TestGateDefersBoundedThenProves(t *testing.T) {
 	good := x64.MustParse("movq rdi, rax\naddq rsi, rax")
 	if v.shouldDefer(good) {
 		t.Fatal("gate deferred a high-scoring candidate")
+	}
+}
+
+// TestValidateSkipsHeadsThatCannotBeatIncumbent: the mid-search hook skips
+// a pool head whose modelled cost does not strictly beat the proven
+// incumbent, counts the skip, and neither proves it nor consults the
+// gate. A proof that lowers the incumbent closes the skip on heads that
+// were worth proving before.
+func TestValidateSkipsHeadsThatCannotBeatIncumbent(t *testing.T) {
+	calls := 0
+	prove := func(*x64.Program) (verify.Result, time.Duration) {
+		calls++
+		return verify.Result{Verdict: verify.Equal}, 0
+	}
+	v, rep := newTestVerifier(t, leanAddKernel(), nil, prove, nil)
+	// A candidate the gate would defer, so a consult behind a skip shows.
+	alien := x64.MustParse("xorq rax, rax")
+	inc := v.incumbentH
+	for _, cst := range []float64{inc, inc + 1} {
+		if tcs := v.validate(search.Candidate{Prog: alien, Cost: cst}); tcs != nil {
+			t.Fatalf("skipped head at cost %v returned %d testcases", cst, len(tcs))
+		}
+	}
+	if rep.SkippedValidations != 2 || calls != 0 {
+		t.Fatalf("SkippedValidations %d with %d proofs, want 2 skips and no proof",
+			rep.SkippedValidations, calls)
+	}
+	if rep.Proofs.GateDeferrals != 0 || len(v.defers) != 0 {
+		t.Fatalf("gate consulted behind a skip: %d deferrals", rep.Proofs.GateDeferrals)
+	}
+
+	// Against a costlier incumbent, a cheaper head that passes the gate is
+	// proven, and its Equal lowers the incumbent to the head's Eq.13 cost.
+	v.incumbentH = 2 * inc
+	swapped := x64.MustParse("movq rsi, rax\naddq rdi, rax")
+	v.validate(search.Candidate{Prog: swapped, Cost: inc})
+	if calls != 1 || v.incumbentH != perf.H(swapped) || rep.SkippedValidations != 2 {
+		t.Fatalf("%d proofs, incumbent %v, %d skips; want 1 proof, incumbent %v, 2 skips",
+			calls, v.incumbentH, rep.SkippedValidations, perf.H(swapped))
+	}
+	v.validate(search.Candidate{Prog: x64.MustParse("leaq (rdi,rsi), rax"), Cost: v.incumbentH})
+	if calls != 1 || rep.SkippedValidations != 3 {
+		t.Fatalf("head at the lowered incumbent: %d proofs, %d skips; want 1 and 3",
+			calls, rep.SkippedValidations)
+	}
+}
+
+// TestValidateDefersBoundedThenRefines: behind the skip, the gate defers a
+// low-scoring head at most maxGateDefers times; the proof then runs, and
+// its genuine counterexample refines τ, grows the shared profile to
+// len(τ), emits a refinement event and comes back for broadcast.
+func TestValidateDefersBoundedThenRefines(t *testing.T) {
+	calls := 0
+	prove := func(*x64.Program) (verify.Result, time.Duration) {
+		calls++
+		cex := &verify.Counterexample{Mem: map[uint64]byte{}}
+		cex.Regs[x64.RDI] = 3
+		cex.Regs[x64.RSI] = 5
+		return verify.Result{Verdict: verify.NotEqual, Cex: cex}, 0
+	}
+	var refinements []Event
+	v, rep := newTestVerifier(t, leanAddKernel(), nil, prove, func(ev Event) {
+		if ev.Kind == EventRefinement {
+			refinements = append(refinements, ev)
+		}
+	})
+	head := search.Candidate{Prog: x64.MustParse("xorq rax, rax"), Cost: 0}
+	n := len(v.tests)
+	for i := 1; i <= maxGateDefers; i++ {
+		if tcs := v.validate(head); tcs != nil || calls != 0 {
+			t.Fatalf("deferral %d: %d testcases, %d proofs", i, len(tcs), calls)
+		}
+		if rep.Proofs.GateDeferrals != i {
+			t.Fatalf("GateDeferrals %d after %d deferrals", rep.Proofs.GateDeferrals, i)
+		}
+	}
+	tcs := v.validate(head)
+	if calls != 1 || len(tcs) != 1 {
+		t.Fatalf("after the deferral bound: %d proofs, %d testcases; want 1 and 1", calls, len(tcs))
+	}
+	if rep.Proofs.GateDeferrals != maxGateDefers || rep.SkippedValidations != 0 {
+		t.Fatalf("GateDeferrals %d, SkippedValidations %d; want %d and 0",
+			rep.Proofs.GateDeferrals, rep.SkippedValidations, maxGateDefers)
+	}
+	if len(v.tests) != n+1 || rep.Refinements != 1 {
+		t.Fatalf("τ %d → %d with %d refinements, want one fold", n, len(v.tests), rep.Refinements)
+	}
+	if got := len(v.prof.Counts()); got != len(v.tests) {
+		t.Fatalf("shared profile covers %d testcases, τ holds %d", got, len(v.tests))
+	}
+	if len(refinements) != 1 || refinements[0].Tests != len(v.tests) {
+		t.Fatalf("refinement events %+v, want one reporting %d testcases", refinements, len(v.tests))
+	}
+	// Concluded: the memo answers, nothing is broadcast twice.
+	if tcs := v.validate(head); tcs != nil || calls != 1 {
+		t.Fatalf("concluded head re-proved or re-broadcast: %d testcases, %d proofs", len(tcs), calls)
 	}
 }

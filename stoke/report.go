@@ -52,9 +52,10 @@ type Report struct {
 	Swaps, Prunes int
 
 	// SkippedValidations counts scheduled mid-search validation rounds
-	// the cost-aware gate skipped because the candidate pool's head could
-	// not beat the proven incumbent's modelled cost — SAT time the run
-	// did not spend.
+	// the verifier skipped because the candidate pool's head could not
+	// beat the proven incumbent's modelled cost — SAT time the run did
+	// not spend. Rounds the pre-verification gate deferred count in
+	// Proofs.GateDeferrals instead.
 	SkippedValidations int
 
 	// CacheHit marks a run served from the rewrite store without
@@ -159,14 +160,8 @@ func rankIndex(n int, q float64) (int, bool) {
 
 // RegFreeFraction is the dynamic fraction of register-writing slots whose
 // writes the register-liveness pass suppressed across the run's chains
-// (Stats.RegFreeSlots over Stats.RegWritingSlots), or zero when the pass
-// was off or the chains never wrote a register.
-func (r *Report) RegFreeFraction() float64 {
-	if r.Stats.RegWritingSlots == 0 {
-		return 0
-	}
-	return float64(r.Stats.RegFreeSlots) / float64(r.Stats.RegWritingSlots)
-}
+// (mcmc.Stats.RegFreeFraction).
+func (r *Report) RegFreeFraction() float64 { return r.Stats.RegFreeFraction() }
 
 // Speedup is the modelled speedup of the rewrite over the target.
 func (r *Report) Speedup() float64 {

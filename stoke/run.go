@@ -71,79 +71,11 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 	// proposes.
 	pools := mcmc.PoolsFor(k.Target, k.SSE)
 
-	// The verifier is built before any chain runs, because a near miss
-	// proves its substituted start before deciding whether to synthesize.
-	live := liveOutFor(k)
-	m := emu.New()
-
-	// incumbentH is the modelled cost (Equation 13 latency sum — what an
-	// eq-zero pool entry's search cost reduces to in the optimization
-	// phase, whose chains run at perfWeight 1; the gate below is only
-	// wired for that phase) of the best candidate proven Equal so far;
-	// the target, correct by construction, seeds it, and a proven
-	// near-miss start may lower it before any chain runs. The coordinator's
-	// cost-aware validation gate only spends SAT time on pool heads that
-	// strictly beat it: a tie is gated deliberately — equal-cost
-	// candidates cannot displace the incumbent in the final re-ranking,
-	// and proving them mid-search is exactly the SAT waste the gate
-	// exists to avoid. Their verdicts (and any counterexample broadcast
-	// they would have triggered) wait for the end-of-round validation
-	// loop, which is gated only by the verdict cache.
-	incumbentH := perf.H(k.Target)
-
-	// vrf is the verification pipeline in front of the solver: a verdict
-	// memo shared by the near-miss start proof, the mid-search validator
-	// and the end-of-round validation loop (a candidate proven Equal once
-	// never pays for a second proof; budget-exhausted Unknowns are NOT
-	// memoized, so later rounds can retry), banked-counterexample replay
-	// before any SAT call, the pre-verification gate, and per-query
-	// proof-cost samples.
-	bank := e.bank
-	if st.store != nil {
-		bank = st.store // a persistent store doubles as the bank
-	}
-	vrf := &verifier{
-		e: e, st: &st, k: k, m: m, rng: rng, rep: rep,
-		form:       form,
-		bank:       bank,
-		bankRng:    rand.New(rand.NewSource(st.seed + 424243)),
-		validated:  map[string]verify.Verdict{},
-		defers:     map[string]int{},
-		targetOps:  opcodeSet(k.Target),
-		curTests:   func() []testgen.Testcase { return tests },
-		incumbentH: func() float64 { return incumbentH },
-		prove: func(cand *x64.Program) (verify.Result, time.Duration) {
-			var res verify.Result
-			var vdur time.Duration
-			e.runTask(ctx, func() {
-				vStart := time.Now()
-				res = verify.Equivalent(ctx, k.Target, cand, live, st.verify)
-				vdur = time.Since(vStart)
-			})
-			rep.VerifyTime += vdur
-			return res, vdur
-		},
-	}
-
 	// A near-miss seeds τ with the cached entry's replayed counterexample
 	// set before any chain starts, so the search begins with the
-	// discriminating inputs a previous search had to discover. Its
-	// constant-substituted rewrite is proven against the target first:
-	// proven Equal, it is the correct starting point random synthesis
-	// exists to find, so synthesis is skipped and it becomes the proven
-	// incumbent. Anything else runs the full search.
-	warmProven := false
+	// discriminating inputs a previous search had to discover.
 	if warm != nil {
 		tests = append(tests[:len(tests):len(tests)], warm.tests...)
-		vd := vrf.proveStart(warm.start)
-		if vd == verify.Equal {
-			warmProven = true
-			if h := perf.H(warm.start); h < incumbentH {
-				incumbentH = h
-			}
-		}
-		e.emit(&st, Event{Kind: EventWarmStart, Kernel: k.Name,
-			Cost: warm.costH, Tests: len(tests), Verdict: vd})
 	}
 
 	// The kernel-wide rejection profile: every chain's early terminations
@@ -160,16 +92,122 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 			prof = cost.NewSharedProfile(len(tests))
 		}
 	}
-	newCost := func(perfWeight float64) *cost.Fn {
-		// The three-index slice keeps each chain's AddTest append from
-		// sharing growth room with its siblings or with the run's own
-		// refinement appends. Candidates compile against the kernel's
-		// live-out set, so register liveness suppresses their writes to
-		// registers outside it.
-		ts := tests[:len(tests):len(tests)]
-		f := cost.NewLive(ts, k.Spec.LiveOut, cost.Improved, perfWeight)
-		f.Shared = prof
-		return f
+
+	// vrf is the run's proof policy and the verification pipeline in front
+	// of the solver. It owns τ from here on, the proven incumbent (seeded
+	// by the target, correct by construction), and a verdict memo shared
+	// by the near-miss start proof, the mid-search validator and the
+	// end-of-round validation loop (a candidate proven Equal once never
+	// pays for a second proof; budget-exhausted Unknowns are NOT memoized,
+	// so later rounds can retry). In front of the solver sit
+	// banked-counterexample replay and the pre-verification gate, and each
+	// query leaves a proof-cost sample.
+	bank := e.bank
+	if st.store != nil {
+		bank = st.store // a persistent store doubles as the bank
+	}
+	live := liveOutFor(k)
+	vrf := &verifier{
+		e: e, st: &st, k: k, m: emu.New(), rng: rng, rep: rep, ctx: ctx,
+		form:       form,
+		bank:       bank,
+		bankRng:    rand.New(rand.NewSource(st.seed + 424243)),
+		validated:  map[string]verify.Verdict{},
+		defers:     map[string]int{},
+		targetOps:  opcodeSet(k.Target),
+		tests:      tests,
+		prof:       prof,
+		incumbentH: perf.H(k.Target),
+		prove: func(cand *x64.Program) (res verify.Result, dur time.Duration) {
+			e.runTask(ctx, func() {
+				start := time.Now()
+				res = verify.Equivalent(ctx, k.Target, cand, live, st.verify)
+				dur = time.Since(start)
+			})
+			return res, dur
+		},
+	}
+
+	// A near miss's constant-substituted rewrite is proven against the
+	// target before any chain runs: proven Equal, it is the correct
+	// starting point random synthesis exists to find, so synthesis is
+	// skipped and it becomes the proven incumbent. Anything else runs the
+	// full search.
+	warmProven := false
+	if warm != nil {
+		vd := vrf.proveStart(warm.start)
+		warmProven = vd == verify.Equal
+		e.emit(&st, Event{Kind: EventWarmStart, Kernel: k.Name,
+			Cost: warm.costH, Tests: len(vrf.tests), Verdict: vd})
+	}
+
+	// runPhase runs one coordinated chain group — the synthesis phase or
+	// one optimization round — on the engine's pool: its samplers on the
+	// β ladder, scoring against the current τ and sharing the rejection
+	// profile, and the coordinator driving them. The chains' stats and
+	// coordination counters land in the report, and the time workers
+	// spent on the chains in *ph.busy: aggregate chain-execution time,
+	// not wall-clock, which on a shared pool includes every other
+	// kernel's queueing.
+	runPhase := func(ph phase) ([]mcmc.Result, []search.Candidate) {
+		emit := func(ev Event) {
+			ev.Kernel, ev.Phase, ev.Round = k.Name, ph.name, ph.round
+			e.emit(&st, ev)
+		}
+		emit(Event{Kind: EventPhaseStart})
+		start := time.Now()
+		runs := make([]*mcmc.Run, ph.chains)
+		ladder := st.betaLadder(ph.beta, ph.chains)
+		for i := range runs {
+			params := mcmc.PaperParams
+			params.Ell = st.ell
+			params.Beta = ladder[i]
+			// The three-index slice keeps each chain's AddTest append from
+			// sharing growth room with its siblings or with τ's own
+			// refinement appends. Candidates compile against the kernel's
+			// live-out set, so register liveness suppresses their writes
+			// to registers outside it.
+			ts := vrf.tests[:len(vrf.tests):len(vrf.tests)]
+			f := cost.NewLive(ts, k.Spec.LiveOut, cost.Improved, ph.perfWeight)
+			f.Shared = prof
+			s := &mcmc.Sampler{
+				Params:       params,
+				Pools:        pools,
+				Cost:         f,
+				Rng:          rand.New(rand.NewSource(ph.seed + int64(i))),
+				RestartAfter: ph.restartAfter,
+			}
+			s.OnImprove = func(iter int64, c float64, p *x64.Program) {
+				emit(Event{Kind: EventChainImproved, Chain: i, Proposal: iter, Cost: c})
+			}
+			runs[i] = s.Begin(ph.start(i, s), ph.budget)
+		}
+		coord := search.New(search.Config{
+			Seed:          ph.coordSeed,
+			Exchange:      !st.independent,
+			PruneAfter:    ph.restartAfter,
+			ValidateEvery: midValidateEvery,
+			Validate:      ph.validate,
+			OnSwap: func(i, j int, ci, cj float64) {
+				emit(Event{Kind: EventSwap, Chain: i, Partner: j, Cost: ci})
+			},
+			OnPrune: func(i int, adopted float64) {
+				emit(Event{Kind: EventPrune, Chain: i, Cost: adopted})
+			},
+		}, runs)
+		coord.Drive(ctx, func(bodies []func()) {
+			*ph.busy += e.runBatch(ctx, bodies)
+		})
+		rep.Swaps += coord.Swaps()
+		rep.Prunes += coord.Prunes()
+		results := coord.Results()
+		var stats mcmc.Stats
+		for _, r := range results {
+			stats.Add(r.Stats)
+		}
+		rep.Stats.Add(stats)
+		emit(Event{Kind: EventPhaseEnd, Elapsed: time.Since(start), RegFree: stats.RegFreeFraction()})
+		return results, coord.Pool()
 	}
 
 	// finish stamps the cycle-model fields on the way out; every return
@@ -181,10 +219,23 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 		rep.Verdict = verdict
 		rep.Rewrite = best.Packed()
 		rep.Partial = partial
-		rep.Tests = len(tests)
+		rep.Tests = len(vrf.tests)
 		rep.TargetCycles = pipeline.Cycles(k.Target)
 		rep.RewriteCycles = pipeline.Cycles(rep.Rewrite)
 		return rep
+	}
+
+	// cancelled is the report of a cancelled run: the fastest
+	// testcase-correct program among cands, without spending time on a
+	// proof and with the cost window disabled (correctness only). The
+	// target is correct by construction, so a run that found nothing
+	// faster reports it as Equal.
+	cancelled := func(cands []*x64.Program) *Report {
+		best := fastestSurvivor(cands, vrf.tests, k, 1e30)
+		if best == nil || best == k.Target {
+			return finish(nil, verify.Equal, true)
+		}
+		return finish(best, verify.Unknown, true)
 	}
 
 	// --- Synthesis phase (§4.4): correctness only, random starts, the
@@ -192,46 +243,16 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 	// skips it. ---
 	var synthResults []mcmc.Result
 	if !warmProven {
-		e.emit(&st, Event{Kind: EventPhaseStart, Kernel: k.Name, Phase: "synthesis"})
-		start := time.Now()
-		synthRuns := make([]*mcmc.Run, st.synthChains)
-		synthLadder := st.betaLadder(DefaultSynthBeta, st.synthChains)
-		for i := range synthRuns {
-			i := i
-			params := mcmc.PaperParams
-			params.Ell = st.ell
-			params.Beta = synthLadder[i]
-			s := &mcmc.Sampler{
-				Params: params,
-				Pools:  pools,
-				Cost:   newCost(0),
-				Rng:    rand.New(rand.NewSource(st.seed + 1000 + int64(i))),
-			}
-			s.OnImprove = func(iter int64, c float64, p *x64.Program) {
-				e.emit(&st, Event{Kind: EventChainImproved, Kernel: k.Name,
-					Phase: "synthesis", Chain: i, Proposal: iter, Cost: c})
-			}
-			synthRuns[i] = s.Begin(s.RandomProgram(), st.synthProposals)
-		}
-		synthCoord := search.New(search.Config{
-			Seed:     st.seed + 71,
-			Exchange: !st.independent,
-			Tests:    len(tests),
-			Profile:  prof,
-			OnSwap: func(i, j int, ci, cj float64) {
-				e.emit(&st, Event{Kind: EventSwap, Kernel: k.Name,
-					Phase: "synthesis", Chain: i, Partner: j, Cost: ci})
-			},
-		}, synthRuns)
-		// Aggregate chain-execution time, not wall-clock: on a shared pool a
-		// kernel's wall-clock includes every other kernel's queueing.
-		synthCoord.Drive(ctx, func(bodies []func()) {
-			rep.SynthTime += e.runBatch(ctx, bodies)
+		synthResults, _ = runPhase(phase{
+			name:      "synthesis",
+			chains:    st.synthChains,
+			beta:      DefaultSynthBeta,
+			budget:    st.synthProposals,
+			seed:      st.seed + 1000,
+			coordSeed: st.seed + 71,
+			start:     func(_ int, s *mcmc.Sampler) *x64.Program { return s.RandomProgram() },
+			busy:      &rep.SynthTime,
 		})
-		rep.Swaps += synthCoord.Swaps()
-		synthResults = synthCoord.Results()
-		e.emit(&st, Event{Kind: EventPhaseEnd, Kernel: k.Name, Phase: "synthesis",
-			Elapsed: time.Since(start), RegFree: regFreeFraction(synthResults)})
 	}
 
 	// Candidate starting points for optimization: the target, any
@@ -244,11 +265,6 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 		starts = append(starts, warm.start)
 	}
 	for _, r := range synthResults {
-		rep.Stats.Proposals += r.Stats.Proposals
-		rep.Stats.Accepts += r.Stats.Accepts
-		rep.Stats.TestsEvaluated += r.Stats.TestsEvaluated
-		rep.Stats.RegFreeSlots += r.Stats.RegFreeSlots
-		rep.Stats.RegWritingSlots += r.Stats.RegWritingSlots
 		if r.ZeroCost && r.BestCorrect != nil {
 			rep.SynthesisSucceeded = true
 			starts = append(starts, r.BestCorrect)
@@ -256,15 +272,9 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 	}
 
 	if ctx.Err() != nil {
-		// Cancelled before optimization explored anything: hand back the
-		// fastest of the target and any synthesized zero-cost rewrites,
-		// matching the mid-optimization cancel path below. The target
-		// always survives (correct by construction), so best is non-nil.
-		best := fastestSurvivor(starts, tests, k, 1e30)
-		if best == nil || best == k.Target {
-			return finish(nil, verify.Equal, true), nil
-		}
-		return finish(best, verify.Unknown, true), nil
+		// Cancelled before optimization explored anything: the fastest of
+		// the target and any synthesized zero-cost rewrites.
+		return cancelled(starts), nil
 	}
 
 	// --- Optimization phase (§4.4) with validator-driven testcase
@@ -287,103 +297,27 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 	var allCandidates []*x64.Program
 
 	for round := 0; ; round++ {
-		e.emit(&st, Event{Kind: EventPhaseStart, Kernel: k.Name,
-			Phase: "optimization", Round: round})
-		start := time.Now()
 		budget := st.optProposals
 		if round > 0 {
 			budget /= 2 // refinement rounds re-optimize with a lighter budget
 		}
-
-		// midValidate is the coordinator's validator-in-the-loop hook: at
-		// a barrier cadence it proves or refutes the ensemble's best
-		// correct candidate, and a genuine counterexample comes back as a
-		// testcase the coordinator broadcasts to every live chain — not
-		// just the chain that found the candidate.
 		vrf.round = round
-		midValidate := func(cand *x64.Program) []testgen.Testcase {
-			if ctx.Err() != nil {
-				return nil
-			}
-			out := vrf.check(cand)
-			if out.cached {
-				return nil
-			}
-			if out.verdict == verify.Unknown && ctx.Err() != nil {
-				return nil // truncated proof, not a verdict
-			}
-			if !out.replayKill {
-				e.emit(&st, Event{Kind: EventVerdict, Kernel: k.Name,
-					Round: round, Verdict: out.verdict})
-			}
-			if out.verdict == verify.Equal {
-				if h := perf.H(cand); h < incumbentH {
-					incumbentH = h
-				}
-			}
-			if !out.refined {
-				return nil
-			}
-			tests = append(tests[:len(tests):len(tests)], out.tc)
-			rep.Refinements++
-			e.emit(&st, Event{Kind: EventRefinement, Kernel: k.Name,
-				Round: round, Tests: len(tests)})
-			return []testgen.Testcase{out.tc}
-		}
-
 		nChains := st.optChains * len(starts)
-		optRuns := make([]*mcmc.Run, nChains)
-		optLadder := st.betaLadder(DefaultOptBeta, nChains)
-		for i := range optRuns {
-			i := i
-			params := mcmc.PaperParams
-			params.Ell = st.ell
-			params.Beta = optLadder[i]
-			s := &mcmc.Sampler{
-				Params:       params,
-				Pools:        pools,
-				Cost:         newCost(1),
-				Rng:          rand.New(rand.NewSource(chainSeed + int64(i))),
-				RestartAfter: DefaultRestartAfter,
-			}
-			s.OnImprove = func(iter int64, c float64, p *x64.Program) {
-				e.emit(&st, Event{Kind: EventChainImproved, Kernel: k.Name,
-					Phase: "optimization", Round: round, Chain: i,
-					Proposal: iter, Cost: c})
-			}
-			optRuns[i] = s.Begin(starts[i%len(starts)], budget)
-		}
-		optCoord := search.New(search.Config{
-			Seed:          chainSeed + 503,
-			Exchange:      !st.independent,
-			PruneAfter:    DefaultRestartAfter,
-			Tests:         len(tests),
-			Profile:       prof,
-			ValidateEvery: midValidateEvery,
-			Validate:      midValidate,
-			IncumbentCost: func() float64 { return incumbentH },
-			Defer:         vrf.shouldDefer,
-			OnSwap: func(i, j int, ci, cj float64) {
-				e.emit(&st, Event{Kind: EventSwap, Kernel: k.Name,
-					Phase: "optimization", Round: round, Chain: i, Partner: j, Cost: ci})
-			},
-			OnPrune: func(i int, adopted float64) {
-				e.emit(&st, Event{Kind: EventPrune, Kernel: k.Name,
-					Phase: "optimization", Round: round, Chain: i, Cost: adopted})
-			},
-		}, optRuns)
-		optCoord.Drive(ctx, func(bodies []func()) {
-			rep.OptTime += e.runBatch(ctx, bodies)
+		optResults, poolCands := runPhase(phase{
+			name:         "optimization",
+			round:        round,
+			chains:       nChains,
+			beta:         DefaultOptBeta,
+			perfWeight:   1,
+			budget:       budget,
+			seed:         chainSeed,
+			coordSeed:    chainSeed + 503,
+			restartAfter: DefaultRestartAfter,
+			start:        func(i int, _ *mcmc.Sampler) *x64.Program { return starts[i%len(starts)] },
+			validate:     vrf.validate,
+			busy:         &rep.OptTime,
 		})
-		rep.Swaps += optCoord.Swaps()
-		rep.Prunes += optCoord.Prunes()
-		rep.SkippedValidations += optCoord.SkippedValidations()
-		optResults := optCoord.Results()
-		poolCands := optCoord.Pool()
 		chainSeed += int64(nChains) + 7
-		e.emit(&st, Event{Kind: EventPhaseEnd, Kernel: k.Name,
-			Phase: "optimization", Round: round, Elapsed: time.Since(start),
-			RegFree: regFreeFraction(optResults)})
 
 		// Candidates: the coordinator's global pool (chains' bests
 		// harvested at every barrier, so a line later abandoned by a swap
@@ -397,11 +331,6 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 			}
 		}
 		for _, r := range optResults {
-			rep.Stats.Proposals += r.Stats.Proposals
-			rep.Stats.Accepts += r.Stats.Accepts
-			rep.Stats.TestsEvaluated += r.Stats.TestsEvaluated
-			rep.Stats.RegFreeSlots += r.Stats.RegFreeSlots
-			rep.Stats.RegWritingSlots += r.Stats.RegWritingSlots
 			if r.BestCorrect != nil {
 				candidates = append(candidates, r.BestCorrect)
 				if r.BestCorrectCost < bestCost {
@@ -412,17 +341,11 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 		allCandidates = append(allCandidates, candidates...)
 
 		if ctx.Err() != nil {
-			// Cancelled mid-optimization: hand back the fastest
-			// testcase-correct program without spending time on a proof.
-			// Earlier rounds' candidates and starts join the pool — chains
-			// that never got scheduled must not cost us the target, a
-			// synthesized zero-cost rewrite, or a prior round's find — and
-			// the cost window is disabled (correctness only).
-			best = fastestSurvivor(append(allCandidates, starts...), tests, k, 1e30)
-			if best == nil || best == k.Target {
-				return finish(nil, verify.Equal, true), nil
-			}
-			return finish(best, verify.Unknown, true), nil
+			// Cancelled mid-optimization: earlier rounds' candidates and
+			// the starts join the pool — chains that never got scheduled
+			// must not cost us the target, a synthesized zero-cost
+			// rewrite, or a prior round's find.
+			return cancelled(append(allCandidates, starts...)), nil
 		}
 
 		// Re-ranking (Figure 9, step 6) and validation: pick the fastest
@@ -435,7 +358,7 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 		vPhase := time.Now()
 		reSearch := false
 		for {
-			best = fastestSurvivor(candidates, tests, k, bestCost)
+			best = fastestSurvivor(candidates, vrf.tests, k, bestCost)
 			if best == nil {
 				// Nothing survives the refined testcases; the target is
 				// correct by construction.
@@ -448,9 +371,8 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 			// validator already concluded on skips the proof), bank
 			// replay, then SAT. The end-of-round loop never consults the
 			// gate — every final verdict is replay- or SAT-backed. Proof
-			// time lands in VerifyTime via the prove closure: like
-			// SynthTime/OptTime it excludes time queued behind other runs
-			// on the shared pool.
+			// time lands in VerifyTime: like SynthTime/OptTime it excludes
+			// time queued behind other runs on the shared pool.
 			out := vrf.check(best)
 			if out.verdict == verify.Unknown && !out.cached && ctx.Err() != nil {
 				verifyCancelled = true
@@ -459,14 +381,9 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 			e.emit(&st, Event{Kind: EventVerdict, Kernel: k.Name,
 				Round: round, Verdict: out.verdict})
 			if out.verdict != verify.NotEqual {
-				if out.verdict == verify.Equal {
-					if h := perf.H(best); h < incumbentH {
-						incumbentH = h
-					}
-				}
 				break
 			}
-			if !out.refined {
+			if out.cached {
 				// A cached NotEqual has its counterexample folded into τ
 				// already, so it cannot survive fastestSurvivor and reach
 				// here; defensively treat it as inconclusive rather than
@@ -474,14 +391,7 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 				verdict = verify.Unknown
 				break
 			}
-			tests = append(tests[:len(tests):len(tests)], out.tc)
-			// Keep the shared profile's counters covering the refined τ,
-			// so the next round's chains can learn (and warm-start on)
-			// the new testcase's discriminating power.
-			prof.Grow(len(tests))
-			rep.Refinements++
-			e.emit(&st, Event{Kind: EventRefinement, Kernel: k.Name,
-				Round: round, Tests: len(tests)})
+			vrf.refine(out.tc)
 			if round < DefaultMaxRefinements {
 				reSearch = true
 				break
@@ -501,25 +411,33 @@ func (e *Engine) optimize(ctx context.Context, k Kernel, st settings) (*Report, 
 	// no-improvement results (rewrite == target), which dedupe repeated
 	// fruitless searches for the same kernel into one.
 	if st.store != nil && !out.Partial && out.Verdict == verify.Equal {
-		cachePut(k, &st, form, out, tests, generated, prof)
+		cachePut(k, &st, form, out, vrf.tests, generated, prof)
 	}
 	return out, nil
 }
 
-// regFreeFraction is the fraction of register-writing slots whose writes
-// the register-liveness pass suppressed across a phase's chains, by the
-// dynamic per-proposal counts. Zero when the pass is off or nothing wrote
-// a register.
-func regFreeFraction(results []mcmc.Result) float64 {
-	var free, writing int64
-	for _, r := range results {
-		free += r.Stats.RegFreeSlots
-		writing += r.Stats.RegWritingSlots
-	}
-	if writing == 0 {
-		return 0
-	}
-	return float64(free) / float64(writing)
+// phase describes one coordinated chain group of a run for runPhase.
+type phase struct {
+	name   string // "synthesis" or "optimization"
+	round  int    // the refinement round of an optimization phase
+	chains int
+	beta   float64 // the base β of the phase's ladder
+
+	// perfWeight weighs the performance term of the chains' cost: 0 in
+	// synthesis (correctness only), 1 in optimization.
+	perfWeight float64
+	budget     int64
+
+	// seed+i seeds chain i; coordSeed seeds the coordinator's swap coins.
+	seed, coordSeed int64
+
+	// restartAfter is the chains' restart cadence and the coordinator's
+	// pruning threshold (zero disables both).
+	restartAfter int64
+
+	start    func(i int, s *mcmc.Sampler) *x64.Program
+	validate func(search.Candidate) []testgen.Testcase // nil: no mid-search proofs
+	busy     *time.Duration
 }
 
 // fastestSurvivor re-ranks candidates (Figure 9, step 6): the fastest
