@@ -18,15 +18,18 @@ import (
 //     memory operands of MOV/ALU forms, shifts, multiplies, LEA, CMOV,
 //     SETcc, CMP/TEST, bit-scan ops, push/pop, the divide family and the
 //     SSE subset) lowers to a flat handler with widths, masks, sign bits
-//     and immediates baked in. Memory destinations and the newer memory
-//     sources share the register forms' bodies: the md/ms fields route
+//     and immediates baked in. Memory destinations and memory sources
+//     share the register forms' bodies: the md/ms fields route
 //     readDst/readSrc and the writeALU chokepoint through the memory
 //     operand. Only instructions outside the signature table (which the
 //     parser and the proposal distribution never produce) fall back to a
 //     handler that invokes the interpreter's exec on the source
 //     instruction.
 //   - The hottest shapes additionally carry a dispatch code the run loop
-//     inlines directly, skipping even the indirect handler call.
+//     inlines directly, skipping even the indirect handler call. One code
+//     serves every destination width of its shape: the inline body ends
+//     in an inline width test (direct store at 4/8 bytes, merge write at
+//     1/2).
 //   - Specialised handlers compute the full flag update as one word and
 //     write Flags/FlagsDef once (branch-free where the outcome bits are
 //     data-random), instead of five setFlag calls.
@@ -38,12 +41,14 @@ import (
 //   - Jump targets are linked at compile time instead of scanning for
 //     labels on every taken branch; Compile also caches the Equation 13
 //     static-latency sum, maintained incrementally across patches.
-//   - A backward flag-liveness pass (liveness.go) sets the nf bit on the
-//     slots whose flag writes no later consumer or exit can observe; every
-//     flag-writing body, inline or handler, guards its flag computation
-//     and Flags/FlagsDef store on it, so those slots skip the dead
-//     addBits/subBits/szpBits work entirely. Patch recomputes liveness
-//     only over the affected backward slice.
+//   - A backward liveness pass (liveness.go) over one packed set of
+//     flags and registers per slot sets the nf bit on the slots whose flag
+//     writes no later consumer or exit can observe, and the nr bit (with a
+//     read-only mkDead* code on the inline shapes) on the slots whose
+//     register writes are dead too. Every flag-writing body, inline or
+//     handler, guards its flag computation and Flags/FlagsDef store on nf,
+//     so those slots skip the dead addBits/subBits/szpBits work entirely.
+//     Patch recomputes liveness only over the affected backward slice.
 //
 // The struct-of-predecoded-fields + static handler design was chosen over
 // per-slot closures under benchmark: closures allocate per compile (hostile
@@ -67,35 +72,37 @@ const (
 
 	// Hot-shape codes: the dispatch loop inlines these to avoid the
 	// indirect handler call. Every hot slot still carries its handler, so
-	// the bounded fallback loop needs no second copy of the bodies. "W"
-	// codes are wide-destination only (4/8 bytes: pre-masked results store
-	// directly); CMP/TEST read-only codes apply at every width. Like the
+	// the bounded fallback loop needs no second copy of the bodies. Unless
+	// a "W" suffix restricts a code to wide (4/8-byte) destinations, one
+	// code serves every width: its body stores a 4/8-byte result directly
+	// and merges a 1/2-byte one (the proposal distribution draws widths
+	// uniformly, so half of all ALU proposals are narrow). Like the
 	// handlers, every flag-writing inline body stores its flags only when
 	// the slot's nf bit is clear.
-	mkMovRRW
-	mkMovRIW
+	mkMovRR
+	mkMovRI
 	mkMovLoadW
 	mkMovStoreR
-	mkAddRRW
-	mkAddRIW
-	mkSubRRW
-	mkSubRIW
-	mkAndRRW
-	mkAndRIW
-	mkOrRRW
-	mkOrRIW
-	mkXorRRW
-	mkXorRIW
-	mkZeroW // xor r,r / sub r,r dependency-breaking zero, wide
+	mkAddRR
+	mkAddRI
+	mkSubRR
+	mkSubRI
+	mkAndRR
+	mkAndRI
+	mkOrRR
+	mkOrRI
+	mkXorRR
+	mkXorRI
+	mkZero // xor r,r / sub r,r dependency-breaking zero
 	mkCmpRR
 	mkCmpRI
 	mkTestRR
 	mkTestRI
 	mkLeaW
 	mkCmovRRW
-	mkIncW
-	mkDecW
-	mkNegW
+	mkInc
+	mkDec
+	mkNeg
 	mkNotW
 
 	// SSE hot-shape codes: the register-to-register packed-arithmetic,
@@ -121,30 +128,10 @@ const (
 	mkPXor
 	mkPXorZero
 
-	// Narrow scalar moves (merge-write destinations) and SETcc, common in
-	// the proposal mix, inlined to skip the indirect handler call.
-	mkMovRRN
-	mkMovRIN
+	// SETcc and register-source movsx, common in the proposal mix,
+	// inlined to skip the indirect handler call.
 	mkSetcc
-
-	// Narrow (1/2-byte) ALU register forms: same bodies as their handlers
-	// (merge-write destination), inlined because the proposal distribution
-	// draws widths uniformly — half of all ALU proposals are narrow.
 	mkMovsxRR
-	mkAddRRN
-	mkAddRIN
-	mkSubRRN
-	mkSubRIN
-	mkAndRRN
-	mkAndRIN
-	mkOrRRN
-	mkOrRIN
-	mkXorRRN
-	mkXorRIN
-	mkZeroN
-	mkIncN
-	mkDecN
-	mkNegN
 
 	// Immediate-count shift codes (wide destination, nonzero masked count;
 	// zero counts and CL counts stay on the handler path).
@@ -190,16 +177,6 @@ func (u *microOp) kindW(k microKind) {
 	}
 }
 
-// kindWN tags a lowered slot with the wide code or its narrow
-// (merge-write) companion, by destination width.
-func (u *microOp) kindWN(wide, narrow microKind) {
-	if u.w >= 4 {
-		u.kind = wide
-	} else {
-		u.kind = narrow
-	}
-}
-
 // handlerFn executes one pre-decoded instruction.
 type handlerFn func(m *Machine, u *microOp)
 
@@ -238,19 +215,6 @@ type microOp struct {
 	ms uint8
 }
 
-// slotFlags is the flag-liveness state of one slot (liveness.go): the
-// instruction's flag reads (gen), unconditional redefinitions (kill) and
-// possible writes, plus the analysis result (liveOut) its nf bit is
-// selected from. Kept out of microOp deliberately: the run loop
-// never reads liveness state, and microOp fills exactly one cache line —
-// benchmarked, growing it past 64 bytes costs more than the pass saves.
-type slotFlags struct {
-	gen     x64.FlagSet
-	kill    x64.FlagSet
-	write   x64.FlagSet
-	liveOut x64.FlagSet
-}
-
 // setWidth bakes the destination width, its mask and its sign bit into u.
 func (u *microOp) setWidth(w uint8) {
 	u.w = w
@@ -271,25 +235,20 @@ type Compiled struct {
 	// incremental float updates stay exact.
 	hsum float64
 
-	// flags holds each slot's liveness summary and live-out set, liveIn
-	// each slot's live-in set, and minJSrc[t] the lowest-indexed jump
+	// live holds each slot's liveness summary and analysis result
+	// (liveness.go), exit the packed set observable at every exit (every
+	// flag, plus all registers for Compile or the kernel's live-out
+	// masks for CompileLive), and minJSrc[t] the lowest-indexed jump
 	// targeting slot t (-1 when none) — the early-stop barrier of the
-	// incremental liveness recomputation. All maintained by link/Patch
-	// (liveness.go).
-	flags   []slotFlags
-	liveIn  []x64.FlagSet
+	// incremental liveness recomputation. nrCount/wrCount maintain the
+	// suppressed and register-writing slot counts incrementally, so the
+	// per-proposal coverage counters are O(1) reads. All maintained by
+	// link/Patch.
+	live    []slotLive
+	exit    liveSet
 	minJSrc []int32
-
-	// regs holds each slot's register-liveness summary and analysis
-	// result (liveness.go); exitRegs is the packed GPR+XMM set observable
-	// at every exit (all-ones for Compile, the kernel's live-out masks
-	// for CompileLive). nrCount/wrCount maintain the suppressed and
-	// register-writing slot counts incrementally, so the per-proposal
-	// coverage counters are O(1) reads.
-	regs     []slotRegs
-	exitRegs uint32
-	nrCount  int
-	wrCount  int
+	nrCount int
+	wrCount int
 }
 
 // StaticLatency returns the cached Equation 13 sum of the compiled
@@ -310,7 +269,7 @@ const allRegsLive = 0xffff
 
 // CompileLive is Compile with the exit observation narrowed to the given
 // GPR and XMM live-out masks (bit r = register r live, whole-register
-// granularity). The register-liveness pass then also suppresses writes
+// granularity). The liveness pass then also suppresses register writes
 // that only an exit would have observed — exactly the dead candidate
 // writes the §4.2 cost function cannot see. Final values of non-live
 // registers may differ from a full run (their definedness too); every
@@ -320,13 +279,11 @@ const allRegsLive = 0xffff
 // live-out set; anything that compares full final state uses Compile.
 func CompileLive(p *x64.Program, liveGPR, liveXMM uint16) *Compiled {
 	c := &Compiled{
-		prog:     p,
-		ops:      make([]microOp, len(p.Insts)),
-		flags:    make([]slotFlags, len(p.Insts)),
-		liveIn:   make([]x64.FlagSet, len(p.Insts)),
-		minJSrc:  make([]int32, len(p.Insts)),
-		regs:     make([]slotRegs, len(p.Insts)),
-		exitRegs: packRegs(liveGPR, liveXMM),
+		prog:    p,
+		ops:     make([]microOp, len(p.Insts)),
+		live:    make([]slotLive, len(p.Insts)),
+		minJSrc: make([]int32, len(p.Insts)),
+		exit:    packLive(liveGPR, liveXMM, x64.AllFlags),
 	}
 	for i := range p.Insts {
 		c.lowerSlot(i)
@@ -343,10 +300,8 @@ func (c *Compiled) Program() *x64.Program { return c.prog }
 func (c *Compiled) Recompile() {
 	if len(c.ops) != len(c.prog.Insts) {
 		c.ops = make([]microOp, len(c.prog.Insts))
-		c.flags = make([]slotFlags, len(c.prog.Insts))
-		c.liveIn = make([]x64.FlagSet, len(c.prog.Insts))
+		c.live = make([]slotLive, len(c.prog.Insts))
 		c.minJSrc = make([]int32, len(c.prog.Insts))
-		c.regs = make([]slotRegs, len(c.prog.Insts))
 		c.hsum = 0
 		c.nrCount = 0
 		c.wrCount = 0
@@ -371,16 +326,15 @@ func (c *Compiled) Patch(i int) {
 // summary), so an undone mutation can restore the slot without re-lowering
 // it. The MCMC reject path — the majority of all proposals — pairs
 // SaveSlot before Patch with RestoreSlot after, skipping the decode,
-// flag-summary and latency work of a second lowerSlot.
+// liveness-summary and latency work of a second lowerSlot.
 type SavedSlot struct {
 	op microOp
-	fl slotFlags
-	rg slotRegs
+	lv slotLive
 }
 
 // SaveSlot snapshots slot i. Capture it before Patch re-lowers the slot.
 func (c *Compiled) SaveSlot(i int) SavedSlot {
-	return SavedSlot{op: c.ops[i], fl: c.flags[i], rg: c.regs[i]}
+	return SavedSlot{op: c.ops[i], lv: c.live[i]}
 }
 
 // RestoreSlot reinstates a snapshot of slot i after the program slot
@@ -397,22 +351,22 @@ func (c *Compiled) RestoreSlot(i int, s SavedSlot) {
 			c.nrCount--
 		}
 	}
-	if s.rg.writes() != c.regs[i].writes() {
-		if s.rg.writes() {
+	if s.lv.writesRegs() != c.live[i].writesRegs() {
+		if s.lv.writesRegs() {
 			c.wrCount++
 		} else {
 			c.wrCount--
 		}
 	}
 	c.ops[i] = s.op
-	c.flags[i] = s.fl
-	// Keep the current register live-in/live-out as patchLiveness's
-	// baseline (see lowerSlot): the undone patch may have re-selected
-	// upstream slots, and the restore walk only reaches them if the
-	// baseline still reflects that propagation.
-	cur := c.regs[i]
-	c.regs[i] = s.rg
-	c.regs[i].in, c.regs[i].liveOut = cur.in, cur.liveOut
+	// Keep the current live-in/live-out as patchLiveness's baseline (see
+	// lowerSlot): the undone patch may have re-selected upstream slots,
+	// and the restore walk only reaches them if the baseline still
+	// reflects that propagation.
+	lv := &c.live[i]
+	in, out := lv.in, lv.liveOut
+	*lv = s.lv
+	lv.in, lv.liveOut = in, out
 	c.repairSlot(i, wasCtl)
 }
 
@@ -507,86 +461,94 @@ func (c *Compiled) link() {
 func (c *Compiled) lowerSlot(i int) {
 	in := &c.prog.Insts[i]
 	u := &c.ops[i]
+	lv := &c.live[i]
 	c.hsum -= float64(u.lat) // a stale slot's latency leaves the sum (zero when fresh)
 	// Retire the stale slot's counter contributions before overwriting.
 	if u.nr {
 		c.nrCount--
 	}
-	if c.regs[i].writes() {
+	if lv.writesRegs() {
 		c.wrCount--
 	}
 	*u = microOp{in: in}
-	c.flags[i] = slotFlags{}
-	// The register live-in/live-out results survive the re-lowering: like
-	// the flag pass's separate liveIn array, they are patchLiveness's
-	// baseline for deciding how far a change propagates, and must keep
-	// describing the state the upstream slots were last selected against.
-	prevRg := c.regs[i]
-	c.regs[i] = slotRegs{in: prevRg.in, liveOut: prevRg.liveOut}
+	// The live-in/live-out results survive the re-lowering: they are
+	// patchLiveness's baseline for deciding how far a change propagates,
+	// and must keep describing the state the upstream slots were last
+	// selected against.
+	*lv = slotLive{in: lv.in, liveOut: lv.liveOut}
 	u.lat = float32(perf.LatencyOf(in))
 	c.hsum += float64(u.lat)
 	switch in.Op {
 	case x64.UNUSED:
 		u.kind = mkSkip
-		c.regs[i].base = mkSkip
+		lv.base = mkSkip
 		return
 	case x64.LABEL:
 		u.kind = mkSkip
 		u.ctl = true
-		c.regs[i].base = mkSkip
+		lv.base = mkSkip
 		return
 	case x64.RET:
 		u.kind = mkRet
 		u.ctl = true
-		c.flags[i].gen = x64.AllFlags // an exit observes every flag
-		// An exit observes the live-out registers (all of them under
-		// plain Compile).
-		c.regs[i].base = mkRet
-		c.regs[i].gen = c.exitRegs
+		// An exit observes every flag and the live-out registers (all of
+		// them under plain Compile).
+		lv.base = mkRet
+		lv.gen = c.exit
 		return
 	case x64.JMP:
 		u.kind = mkJmp
 		u.ctl = true
-		c.regs[i].base = mkJmp
+		lv.base = mkJmp
 		return
 	case x64.Jcc:
 		u.kind = mkJcc
 		u.ctl = true
 		u.cc = in.CC
-		c.flags[i].gen = x64.FlagsReadByCond(in.CC)
-		c.regs[i].base = mkJcc
+		lv.base = mkJcc
+		lv.gen = liveSet(x64.FlagsReadByCond(in.CC))
 		return
 	}
 	u.kind = mkExec
 	u.run = nil // sentinel: lowerExec sets it iff a specialised handler applies
-	f := &c.flags[i]
-	f.gen, f.kill, f.write = flagSummary(in)
 	lowerExec(u, in)
 	if u.md|u.ms != 0 {
 		// Memory-routed operands have no inline body: the run loop's hot
 		// codes read and write registers directly.
 		u.kind = mkExec
 	}
-	rg := &c.regs[i]
-	*rg = regSummary(in)
-	rg.in, rg.liveOut = prevRg.in, prevRg.liveOut
-	rg.base = u.kind
+	var memWrite bool
+	lv.gen, lv.kill, lv.write, memWrite = liveSummary(in)
+	lv.base = u.kind
 	// Write suppression applies only to slots lowered onto a specialised
 	// handler (the dead codes and nr guards replicate exactly those
 	// bodies' reads; hGeneric runs the interpreter and cannot skip its
 	// stores) that write at least one register and no memory, and never
 	// to the stack ops (push writes memory anyway; pop's RSP/load chain
-	// isn't worth a suppressed shape). Memory-routed slots (md/ms) are
-	// excluded too: they were served by hGeneric before they got handlers,
-	// and suppressing their dead writes would change the non-live register
-	// values the Improved metric's rival scan reads under cost.NewLive —
-	// and with them fixed-seed search trajectories.
+	// isn't worth a suppressed shape). Memory-routed slots are excluded
+	// too, except the memory-source ADD/SUB/AND/OR/XOR and two-operand
+	// IMUL. The set is not a soundness choice but a pinned one: a
+	// suppressed write changes the non-live register values the Improved
+	// metric's rival scan reads under cost.NewLive, and with them
+	// fixed-seed search trajectories. Those six shapes have always been
+	// suppressible, the other memory-routed ones never (they began on the
+	// interpreter fallback), and a uniform rule either way (md|ms == 0
+	// drops the six, md == 0 admits the rest) moves the
+	// TestOptimizeTracePinned digests.
 	if u.run == nil {
 		u.run = hGeneric
 	} else {
-		rg.eligible = rg.writes() && !rg.memWrite && in.Op != x64.POP && u.md|u.ms == 0
+		ok := u.md == 0
+		if u.ms != 0 {
+			switch in.Op {
+			case x64.ADD, x64.SUB, x64.AND, x64.OR, x64.XOR, x64.IMUL:
+			default:
+				ok = false
+			}
+		}
+		lv.eligible = ok && lv.writesRegs() && !memWrite && in.Op != x64.POP
 	}
-	if rg.writes() {
+	if lv.writesRegs() {
 		c.wrCount++
 	}
 }
@@ -618,21 +580,13 @@ func lowerExec(u *microOp, in *x64.Inst) {
 		if !u.dstOperand(d, 2) {
 			return
 		}
-		switch s.Kind {
-		case x64.KindReg:
-			if s.Width == d.Width {
-				u.src = s.Reg
-				u.run = hCmpRR
-				u.kind = mkCmpRR
-			}
-		case x64.KindImm:
+		if s.Kind == x64.KindImm {
 			u.imm = uint64(s.Imm) & widthMask(s.Width)
 			u.run = hCmpRI
 			u.kind = mkCmpRI
-		case x64.KindMem:
-			if s.Width == d.Width && u.md == 0 {
-				u.run = hCmpMR
-			}
+		} else if u.aluSource(s, d) {
+			u.run = hCmpRR
+			u.kind = mkCmpRR
 		}
 
 	case x64.TEST:
@@ -668,10 +622,10 @@ func lowerExec(u *microOp, in *x64.Inst) {
 		}
 		if in.Op == x64.INC {
 			u.run = hIncR
-			u.kindWN(mkIncW, mkIncN)
+			u.kind = mkInc
 		} else {
 			u.run = hDecR
-			u.kindWN(mkDecW, mkDecN)
+			u.kind = mkDec
 		}
 
 	case x64.NEG, x64.NOT:
@@ -680,7 +634,7 @@ func lowerExec(u *microOp, in *x64.Inst) {
 		}
 		if in.Op == x64.NEG {
 			u.run = hNegR
-			u.kindWN(mkNegW, mkNegN)
+			u.kind = mkNeg
 		} else {
 			u.run = hNotR
 			u.kindW(mkNotW)
@@ -693,16 +647,8 @@ func lowerExec(u *microOp, in *x64.Inst) {
 		}
 		u.dst = d.Reg
 		u.setWidth(d.Width)
-		switch s.Kind {
-		case x64.KindReg:
-			if s.Width == d.Width {
-				u.src = s.Reg
-				u.run = hImulRR
-			}
-		case x64.KindMem:
-			if s.Width == d.Width {
-				u.run = hImulMR
-			}
+		if u.aluSource(s, d) {
+			u.run = hImulRR
 		}
 
 	case x64.IMUL3:
@@ -852,27 +798,15 @@ func lowerMov(u *microOp, in *x64.Inst) {
 	s, d := in.Opd[0], in.Opd[1]
 	switch {
 	case d.Kind == x64.KindReg && s.Kind == x64.KindReg:
-		u.dst, u.src = d.Reg, s.Reg
+		u.dst, u.src, u.w = d.Reg, s.Reg, d.Width
 		u.mask = widthMask(s.Width)
-		if d.Width >= 4 {
-			u.run = hMovRRW
-			u.kind = mkMovRRW
-		} else {
-			u.w = d.Width
-			u.run = hMovRRN
-			u.kind = mkMovRRN
-		}
+		u.run = hMovRR
+		u.kind = mkMovRR
 	case d.Kind == x64.KindReg && s.Kind == x64.KindImm:
-		u.dst = d.Reg
+		u.dst, u.w = d.Reg, d.Width
 		u.imm = uint64(s.Imm) & widthMask(s.Width)
-		if d.Width >= 4 {
-			u.run = hMovRIW
-			u.kind = mkMovRIW
-		} else {
-			u.w = d.Width
-			u.run = hMovRIN
-			u.kind = mkMovRIN
-		}
+		u.run = hMovRI
+		u.kind = mkMovRI
 	case d.Kind == x64.KindReg && s.Kind == x64.KindMem:
 		u.dst = d.Reg
 		if d.Width >= 4 {
@@ -900,90 +834,62 @@ func lowerALU(u *microOp, in *x64.Inst) {
 	if !u.dstOperand(d, 2) {
 		return
 	}
-	same := d.Kind == x64.KindReg && s.Kind == x64.KindReg && s.Reg == d.Reg && s.Width == d.Width
-	if same && in.Op == x64.XOR {
-		u.run = hXorZero
-		u.kindWN(mkZeroW, mkZeroN)
+	if (in.Op == x64.XOR || in.Op == x64.SUB) && d.Kind == x64.KindReg &&
+		s.Kind == x64.KindReg && s.Reg == d.Reg && s.Width == d.Width {
+		u.run = hZero
+		u.kind = mkZero
 		return
 	}
-	if same && in.Op == x64.SUB {
-		u.run = hSubZero
-		u.kindWN(mkZeroW, mkZeroN)
-		return
-	}
-	switch s.Kind {
-	case x64.KindReg:
-		if s.Width != d.Width {
-			return
-		}
-		u.src = s.Reg
-		switch in.Op {
-		case x64.ADD:
-			u.run = hAddRR
-			u.kindWN(mkAddRRW, mkAddRRN)
-		case x64.SUB:
-			u.run = hSubRR
-			u.kindWN(mkSubRRW, mkSubRRN)
-		case x64.AND:
-			u.run = hAndRR
-			u.kindWN(mkAndRRW, mkAndRRN)
-		case x64.OR:
-			u.run = hOrRR
-			u.kindWN(mkOrRRW, mkOrRRN)
-		case x64.XOR:
-			u.run = hXorRR
-			u.kindWN(mkXorRRW, mkXorRRN)
-		case x64.ADC:
-			u.run = hAdcRR
-		case x64.SBB:
-			u.run = hSbbRR
-		}
-	case x64.KindImm:
+	if s.Kind == x64.KindImm {
 		u.imm = uint64(s.Imm) & widthMask(s.Width)
 		switch in.Op {
 		case x64.ADD:
-			u.run = hAddRI
-			u.kindWN(mkAddRIW, mkAddRIN)
+			u.run, u.kind = hAddRI, mkAddRI
 		case x64.SUB:
-			u.run = hSubRI
-			u.kindWN(mkSubRIW, mkSubRIN)
+			u.run, u.kind = hSubRI, mkSubRI
 		case x64.AND:
-			u.run = hAndRI
-			u.kindWN(mkAndRIW, mkAndRIN)
+			u.run, u.kind = hAndRI, mkAndRI
 		case x64.OR:
-			u.run = hOrRI
-			u.kindWN(mkOrRIW, mkOrRIN)
+			u.run, u.kind = hOrRI, mkOrRI
 		case x64.XOR:
-			u.run = hXorRI
-			u.kindWN(mkXorRIW, mkXorRIN)
+			u.run, u.kind = hXorRI, mkXorRI
 		case x64.ADC:
 			u.run = hAdcRI
 		case x64.SBB:
 			u.run = hSbbRI
 		}
-	case x64.KindMem:
-		if s.Width != d.Width || u.md != 0 {
-			return
-		}
-		switch in.Op {
-		case x64.ADD:
-			u.run = hAddMR
-		case x64.SUB:
-			u.run = hSubMR
-		case x64.AND:
-			u.run = hAndMR
-		case x64.OR:
-			u.run = hOrMR
-		case x64.XOR:
-			u.run = hXorMR
-		case x64.ADC:
-			u.ms = 1
-			u.run = hAdcRR
-		case x64.SBB:
-			u.ms = 1
-			u.run = hSbbRR
-		}
+		return
 	}
+	if !u.aluSource(s, d) {
+		return
+	}
+	switch in.Op {
+	case x64.ADD:
+		u.run, u.kind = hAddRR, mkAddRR
+	case x64.SUB:
+		u.run, u.kind = hSubRR, mkSubRR
+	case x64.AND:
+		u.run, u.kind = hAndRR, mkAndRR
+	case x64.OR:
+		u.run, u.kind = hOrRR, mkOrRR
+	case x64.XOR:
+		u.run, u.kind = hXorRR, mkXorRR
+	case x64.ADC:
+		u.run = hAdcRR
+	case x64.SBB:
+		u.run = hSbbRR
+	}
+}
+
+// aluSource lowers the register or memory source of a two-operand ALU
+// shape whose destination d is already lowered: same width as d, and at
+// most one memory operand. A memory source takes the ms route, so the
+// register form's handler serves it (lowerSlot drops the inline code).
+func (u *microOp) aluSource(s, d x64.Operand) bool {
+	if s.Width != d.Width || s.Kind == x64.KindMem && d.Kind == x64.KindMem {
+		return false
+	}
+	return u.srcOperand(s, 1)
 }
 
 // dstOperand lowers a destination operand at operand index k-1: a
@@ -1116,95 +1022,148 @@ func (m *Machine) RunCompiled(c *Compiled) Outcome {
 				pc = uint(u.next)
 			}
 			continue
-		case mkMovRRW:
-			m.setReg(u.dst, m.readReg(u.src, u.mask))
-		case mkMovRIW:
-			m.setReg(u.dst, u.imm)
+		case mkMovRR:
+			r := m.readReg(u.src, u.mask)
+			if u.w >= 4 {
+				m.setReg(u.dst, r)
+			} else {
+				m.writeGPR(u.dst, u.w, r)
+			}
+		case mkMovRI:
+			if u.w >= 4 {
+				m.setReg(u.dst, u.imm)
+			} else {
+				m.writeGPR(u.dst, u.w, u.imm)
+			}
 		case mkMovLoadW:
 			m.setReg(u.dst, m.load(m.effectiveAddr(u.in.Opd[0]), int(u.w)))
 		case mkMovStoreR:
 			v := m.readReg(u.src, widthMask(u.w))
 			m.store(m.effectiveAddr(u.in.Opd[1]), int(u.w), v)
-		case mkAddRRW:
+		case mkAddRR:
 			a := m.readReg(u.dst, u.mask)
 			b := m.readReg(u.src, u.mask)
 			r := (a + b) & u.mask
 			if !u.nf {
 				m.putFlags(x64.AllFlags, addBits(a, b, 0, r, u))
 			}
-			m.setReg(u.dst, r)
-		case mkAddRIW:
+			if u.w >= 4 {
+				m.setReg(u.dst, r)
+			} else {
+				m.writeGPR(u.dst, u.w, r)
+			}
+		case mkAddRI:
 			a := m.readReg(u.dst, u.mask)
 			r := (a + u.imm) & u.mask
 			if !u.nf {
 				m.putFlags(x64.AllFlags, addBits(a, u.imm, 0, r, u))
 			}
-			m.setReg(u.dst, r)
-		case mkSubRRW:
+			if u.w >= 4 {
+				m.setReg(u.dst, r)
+			} else {
+				m.writeGPR(u.dst, u.w, r)
+			}
+		case mkSubRR:
 			a := m.readReg(u.dst, u.mask)
 			b := m.readReg(u.src, u.mask)
 			r := (a - b) & u.mask
 			if !u.nf {
 				m.putFlags(x64.AllFlags, subBits(a, b, 0, r, u))
 			}
-			m.setReg(u.dst, r)
-		case mkSubRIW:
+			if u.w >= 4 {
+				m.setReg(u.dst, r)
+			} else {
+				m.writeGPR(u.dst, u.w, r)
+			}
+		case mkSubRI:
 			a := m.readReg(u.dst, u.mask)
 			r := (a - u.imm) & u.mask
 			if !u.nf {
 				m.putFlags(x64.AllFlags, subBits(a, u.imm, 0, r, u))
 			}
-			m.setReg(u.dst, r)
-		case mkAndRRW:
+			if u.w >= 4 {
+				m.setReg(u.dst, r)
+			} else {
+				m.writeGPR(u.dst, u.w, r)
+			}
+		case mkAndRR:
 			a := m.readReg(u.dst, u.mask)
 			b := m.readReg(u.src, u.mask)
 			r := a & b
 			if !u.nf {
 				m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
 			}
-			m.setReg(u.dst, r)
-		case mkAndRIW:
+			if u.w >= 4 {
+				m.setReg(u.dst, r)
+			} else {
+				m.writeGPR(u.dst, u.w, r)
+			}
+		case mkAndRI:
 			a := m.readReg(u.dst, u.mask)
 			r := a & u.imm
 			if !u.nf {
 				m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
 			}
-			m.setReg(u.dst, r)
-		case mkOrRRW:
+			if u.w >= 4 {
+				m.setReg(u.dst, r)
+			} else {
+				m.writeGPR(u.dst, u.w, r)
+			}
+		case mkOrRR:
 			a := m.readReg(u.dst, u.mask)
 			b := m.readReg(u.src, u.mask)
 			r := a | b
 			if !u.nf {
 				m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
 			}
-			m.setReg(u.dst, r)
-		case mkOrRIW:
+			if u.w >= 4 {
+				m.setReg(u.dst, r)
+			} else {
+				m.writeGPR(u.dst, u.w, r)
+			}
+		case mkOrRI:
 			a := m.readReg(u.dst, u.mask)
 			r := a | u.imm
 			if !u.nf {
 				m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
 			}
-			m.setReg(u.dst, r)
-		case mkXorRRW:
+			if u.w >= 4 {
+				m.setReg(u.dst, r)
+			} else {
+				m.writeGPR(u.dst, u.w, r)
+			}
+		case mkXorRR:
 			a := m.readReg(u.dst, u.mask)
 			b := m.readReg(u.src, u.mask)
 			r := a ^ b
 			if !u.nf {
 				m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
 			}
-			m.setReg(u.dst, r)
-		case mkXorRIW:
+			if u.w >= 4 {
+				m.setReg(u.dst, r)
+			} else {
+				m.writeGPR(u.dst, u.w, r)
+			}
+		case mkXorRI:
 			a := m.readReg(u.dst, u.mask)
 			r := a ^ u.imm
 			if !u.nf {
 				m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
 			}
-			m.setReg(u.dst, r)
-		case mkZeroW:
+			if u.w >= 4 {
+				m.setReg(u.dst, r)
+			} else {
+				m.writeGPR(u.dst, u.w, r)
+			}
+		case mkZero:
 			if !u.nf {
 				m.putFlags(x64.AllFlags, x64.ZF|x64.PF)
 			}
-			m.setReg(u.dst, 0)
+			if u.w >= 4 {
+				m.setReg(u.dst, 0)
+			} else {
+				m.writeGPR(u.dst, u.w, 0)
+			}
 		case mkCmpRR:
 			a := m.readReg(u.dst, u.mask)
 			b := m.readReg(u.src, u.mask)
@@ -1238,7 +1197,7 @@ func (m *Machine) RunCompiled(c *Compiled) Outcome {
 				v = src
 			}
 			m.setReg(u.dst, v)
-		case mkIncW:
+		case mkInc:
 			a := m.readReg(u.dst, u.mask)
 			r := (a + 1) & u.mask
 			if !u.nf {
@@ -1248,8 +1207,12 @@ func (m *Machine) RunCompiled(c *Compiled) Outcome {
 				}
 				m.putFlags(incDecFlags, fl)
 			}
-			m.setReg(u.dst, r)
-		case mkDecW:
+			if u.w >= 4 {
+				m.setReg(u.dst, r)
+			} else {
+				m.writeGPR(u.dst, u.w, r)
+			}
+		case mkDec:
 			a := m.readReg(u.dst, u.mask)
 			r := (a - 1) & u.mask
 			if !u.nf {
@@ -1259,8 +1222,12 @@ func (m *Machine) RunCompiled(c *Compiled) Outcome {
 				}
 				m.putFlags(incDecFlags, fl)
 			}
-			m.setReg(u.dst, r)
-		case mkNegW:
+			if u.w >= 4 {
+				m.setReg(u.dst, r)
+			} else {
+				m.writeGPR(u.dst, u.w, r)
+			}
+		case mkNeg:
 			a := m.readReg(u.dst, u.mask)
 			r := (-a) & u.mask
 			if !u.nf {
@@ -1273,14 +1240,14 @@ func (m *Machine) RunCompiled(c *Compiled) Outcome {
 				}
 				m.putFlags(x64.AllFlags, fl)
 			}
-			m.setReg(u.dst, r)
+			if u.w >= 4 {
+				m.setReg(u.dst, r)
+			} else {
+				m.writeGPR(u.dst, u.w, r)
+			}
 		case mkNotW:
 			a := m.readReg(u.dst, u.mask)
 			m.setReg(u.dst, ^a&u.mask)
-		case mkMovRRN:
-			m.writeGPR(u.dst, u.w, m.readReg(u.src, u.mask))
-		case mkMovRIN:
-			m.writeGPR(u.dst, u.w, u.imm)
 		case mkSetcc:
 			v := uint64(0)
 			if x64.EvalCond(u.cc, m.readFlagsFor(u.cc)) {
@@ -1291,122 +1258,6 @@ func (m *Machine) RunCompiled(c *Compiled) Outcome {
 			v := m.readReg(u.src, widthMask(u.w2))
 			inv := 64 - 8*uint(u.w2)
 			m.writeALU(u, uint64(int64(v<<inv)>>inv)&u.mask)
-		case mkAddRRN:
-			a := m.readReg(u.dst, u.mask)
-			b := m.readReg(u.src, u.mask)
-			r := (a + b) & u.mask
-			if !u.nf {
-				m.putFlags(x64.AllFlags, addBits(a, b, 0, r, u))
-			}
-			m.writeGPR(u.dst, u.w, r)
-		case mkAddRIN:
-			a := m.readReg(u.dst, u.mask)
-			r := (a + u.imm) & u.mask
-			if !u.nf {
-				m.putFlags(x64.AllFlags, addBits(a, u.imm, 0, r, u))
-			}
-			m.writeGPR(u.dst, u.w, r)
-		case mkSubRRN:
-			a := m.readReg(u.dst, u.mask)
-			b := m.readReg(u.src, u.mask)
-			r := (a - b) & u.mask
-			if !u.nf {
-				m.putFlags(x64.AllFlags, subBits(a, b, 0, r, u))
-			}
-			m.writeGPR(u.dst, u.w, r)
-		case mkSubRIN:
-			a := m.readReg(u.dst, u.mask)
-			r := (a - u.imm) & u.mask
-			if !u.nf {
-				m.putFlags(x64.AllFlags, subBits(a, u.imm, 0, r, u))
-			}
-			m.writeGPR(u.dst, u.w, r)
-		case mkAndRRN:
-			a := m.readReg(u.dst, u.mask)
-			b := m.readReg(u.src, u.mask)
-			r := a & b
-			if !u.nf {
-				m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
-			}
-			m.writeGPR(u.dst, u.w, r)
-		case mkAndRIN:
-			a := m.readReg(u.dst, u.mask)
-			r := a & u.imm
-			if !u.nf {
-				m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
-			}
-			m.writeGPR(u.dst, u.w, r)
-		case mkOrRRN:
-			a := m.readReg(u.dst, u.mask)
-			b := m.readReg(u.src, u.mask)
-			r := a | b
-			if !u.nf {
-				m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
-			}
-			m.writeGPR(u.dst, u.w, r)
-		case mkOrRIN:
-			a := m.readReg(u.dst, u.mask)
-			r := a | u.imm
-			if !u.nf {
-				m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
-			}
-			m.writeGPR(u.dst, u.w, r)
-		case mkXorRRN:
-			a := m.readReg(u.dst, u.mask)
-			b := m.readReg(u.src, u.mask)
-			r := a ^ b
-			if !u.nf {
-				m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
-			}
-			m.writeGPR(u.dst, u.w, r)
-		case mkXorRIN:
-			a := m.readReg(u.dst, u.mask)
-			r := a ^ u.imm
-			if !u.nf {
-				m.putFlags(x64.AllFlags, szpBits(r, u.sbit))
-			}
-			m.writeGPR(u.dst, u.w, r)
-		case mkZeroN:
-			if !u.nf {
-				m.putFlags(x64.AllFlags, x64.ZF|x64.PF)
-			}
-			m.writeGPR(u.dst, u.w, 0)
-		case mkIncN:
-			a := m.readReg(u.dst, u.mask)
-			r := (a + 1) & u.mask
-			if !u.nf {
-				fl := szpBits(r, u.sbit)
-				if r == u.sbit {
-					fl |= x64.OF
-				}
-				m.putFlags(incDecFlags, fl)
-			}
-			m.writeGPR(u.dst, u.w, r)
-		case mkDecN:
-			a := m.readReg(u.dst, u.mask)
-			r := (a - 1) & u.mask
-			if !u.nf {
-				fl := szpBits(r, u.sbit)
-				if a == u.sbit {
-					fl |= x64.OF
-				}
-				m.putFlags(incDecFlags, fl)
-			}
-			m.writeGPR(u.dst, u.w, r)
-		case mkNegN:
-			a := m.readReg(u.dst, u.mask)
-			r := (-a) & u.mask
-			if !u.nf {
-				fl := szpBits(r, u.sbit)
-				if a != 0 {
-					fl |= x64.CF
-				}
-				if a == u.sbit {
-					fl |= x64.OF
-				}
-				m.putFlags(x64.AllFlags, fl)
-			}
-			m.writeGPR(u.dst, u.w, r)
 		case mkShlIW:
 			a := m.readReg(u.dst, u.mask)
 			shlCore(m, u, a, u.imm)
@@ -1512,7 +1363,7 @@ func (m *Machine) RunCompiled(c *Compiled) Outcome {
 // than the step budget, mirroring the interpreter's check placement. A run
 // that can exhaust its budget can stop at any slot — every slot is a
 // potential exit where the full flag and register state becomes
-// observable — so the liveness passes' suppressed forms are unsound here.
+// observable — so the liveness pass's suppressed forms are unsound here.
 // This cold path therefore dispatches every executable slot through a
 // scratch copy of its micro-op with the nf and nr bits cleared: u.run is
 // always the full handler (selection only ever swaps dispatch codes and
@@ -1564,13 +1415,14 @@ func (m *Machine) runCompiledBounded(c *Compiled) Outcome {
 //
 // Every handler replicates the interpreter's semantics exactly, including
 // the order and multiplicity of undef-read counting and the hardware merge
-// rules for narrow register writes. "W" suffixes mean the destination is 4
-// or 8 bytes wide (32-bit writes zero-extend, so a pre-masked value can be
-// stored directly); "N" means 1 or 2 bytes (merge with the old value,
-// counting an undef read of the destination as writeGPR does). Flag-writing
-// handlers accumulate the update into one x64.FlagSet and store it with a
-// single masked write (putFlags), which the interpreter's per-flag setFlag
-// calls are the reference for.
+// rules for narrow register writes: a 4- or 8-byte destination takes the
+// pre-masked value directly (32-bit writes zero-extend), a 1- or 2-byte one
+// merges with the old value, counting an undef read of the destination as
+// writeGPR does. Register-destination bodies make that choice in writeALU;
+// the "W" load handler serves wide destinations only and its "N" twin the
+// narrow ones. Flag-writing handlers accumulate the update into one
+// x64.FlagSet and store it with a single masked write (putFlags), which the
+// interpreter's per-flag setFlag calls are the reference for.
 
 func hGeneric(m *Machine, u *microOp) {
 	m.generic++
@@ -1652,13 +1504,9 @@ func subBits(a, b, borrowIn, r uint64, u *microOp) x64.FlagSet {
 	return fl | flagIf((a^b)&(a^r)&u.sbit, x64.OF)
 }
 
-func hMovRRW(m *Machine, u *microOp) { m.setReg(u.dst, m.readReg(u.src, u.mask)) }
+func hMovRR(m *Machine, u *microOp) { m.writeALU(u, m.readReg(u.src, u.mask)) }
 
-func hMovRRN(m *Machine, u *microOp) { m.writeGPR(u.dst, u.w, m.readReg(u.src, u.mask)) }
-
-func hMovRIW(m *Machine, u *microOp) { m.setReg(u.dst, u.imm) }
-
-func hMovRIN(m *Machine, u *microOp) { m.writeGPR(u.dst, u.w, u.imm) }
+func hMovRI(m *Machine, u *microOp) { m.writeALU(u, u.imm) }
 
 func hMovLoadW(m *Machine, u *microOp) {
 	m.setReg(u.dst, m.load(m.effectiveAddr(u.in.Opd[0]), int(u.w)))
@@ -1743,7 +1591,7 @@ func (m *Machine) writeALU(u *microOp, r uint64) {
 
 func hAddRR(m *Machine, u *microOp) {
 	a := m.readDst(u)
-	b := m.readReg(u.src, u.mask)
+	b := m.readSrc(u)
 	r := (a + b) & u.mask
 	if !u.nf {
 		m.putFlags(x64.AllFlags, addBits(a, b, 0, r, u))
@@ -1760,19 +1608,9 @@ func hAddRI(m *Machine, u *microOp) {
 	m.writeALU(u, r)
 }
 
-func hAddMR(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
-	b := m.load(m.effectiveAddr(u.in.Opd[0]), int(u.w))
-	r := (a + b) & u.mask
-	if !u.nf {
-		m.putFlags(x64.AllFlags, addBits(a, b, 0, r, u))
-	}
-	m.writeALU(u, r)
-}
-
 func hSubRR(m *Machine, u *microOp) {
 	a := m.readDst(u)
-	b := m.readReg(u.src, u.mask)
+	b := m.readSrc(u)
 	r := (a - b) & u.mask
 	if !u.nf {
 		m.putFlags(x64.AllFlags, subBits(a, b, 0, r, u))
@@ -1785,16 +1623,6 @@ func hSubRI(m *Machine, u *microOp) {
 	r := (a - u.imm) & u.mask
 	if !u.nf {
 		m.putFlags(x64.AllFlags, subBits(a, u.imm, 0, r, u))
-	}
-	m.writeALU(u, r)
-}
-
-func hSubMR(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
-	b := m.load(m.effectiveAddr(u.in.Opd[0]), int(u.w))
-	r := (a - b) & u.mask
-	if !u.nf {
-		m.putFlags(x64.AllFlags, subBits(a, b, 0, r, u))
 	}
 	m.writeALU(u, r)
 }
@@ -1854,7 +1682,7 @@ func logicBits(r uint64, u *microOp) x64.FlagSet { return szpBits(r, u.sbit) }
 
 func hAndRR(m *Machine, u *microOp) {
 	a := m.readDst(u)
-	b := m.readReg(u.src, u.mask)
+	b := m.readSrc(u)
 	r := a & b
 	if !u.nf {
 		m.putFlags(x64.AllFlags, logicBits(r, u))
@@ -1871,19 +1699,9 @@ func hAndRI(m *Machine, u *microOp) {
 	m.writeALU(u, r)
 }
 
-func hAndMR(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
-	b := m.load(m.effectiveAddr(u.in.Opd[0]), int(u.w))
-	r := a & b
-	if !u.nf {
-		m.putFlags(x64.AllFlags, logicBits(r, u))
-	}
-	m.writeALU(u, r)
-}
-
 func hOrRR(m *Machine, u *microOp) {
 	a := m.readDst(u)
-	b := m.readReg(u.src, u.mask)
+	b := m.readSrc(u)
 	r := a | b
 	if !u.nf {
 		m.putFlags(x64.AllFlags, logicBits(r, u))
@@ -1900,19 +1718,9 @@ func hOrRI(m *Machine, u *microOp) {
 	m.writeALU(u, r)
 }
 
-func hOrMR(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
-	b := m.load(m.effectiveAddr(u.in.Opd[0]), int(u.w))
-	r := a | b
-	if !u.nf {
-		m.putFlags(x64.AllFlags, logicBits(r, u))
-	}
-	m.writeALU(u, r)
-}
-
 func hXorRR(m *Machine, u *microOp) {
 	a := m.readDst(u)
-	b := m.readReg(u.src, u.mask)
+	b := m.readSrc(u)
 	r := a ^ b
 	if !u.nf {
 		m.putFlags(x64.AllFlags, logicBits(r, u))
@@ -1929,26 +1737,9 @@ func hXorRI(m *Machine, u *microOp) {
 	m.writeALU(u, r)
 }
 
-func hXorMR(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
-	b := m.load(m.effectiveAddr(u.in.Opd[0]), int(u.w))
-	r := a ^ b
-	if !u.nf {
-		m.putFlags(x64.AllFlags, logicBits(r, u))
-	}
-	m.writeALU(u, r)
-}
-
-// hXorZero and hSubZero are the dependency-breaking zero idioms: defined
+// hZero is the xor r,r / sub r,r dependency-breaking zero idiom: defined
 // regardless of the register's contents, so no source read is counted.
-func hXorZero(m *Machine, u *microOp) {
-	if !u.nf {
-		m.putFlags(x64.AllFlags, x64.ZF|x64.PF)
-	}
-	m.writeALU(u, 0)
-}
-
-func hSubZero(m *Machine, u *microOp) {
+func hZero(m *Machine, u *microOp) {
 	if !u.nf {
 		m.putFlags(x64.AllFlags, x64.ZF|x64.PF)
 	}
@@ -1957,7 +1748,7 @@ func hSubZero(m *Machine, u *microOp) {
 
 func hCmpRR(m *Machine, u *microOp) {
 	a := m.readDst(u)
-	b := m.readReg(u.src, u.mask)
+	b := m.readSrc(u)
 	if !u.nf {
 		m.putFlags(x64.AllFlags, subBits(a, b, 0, (a-b)&u.mask, u))
 	}
@@ -1967,14 +1758,6 @@ func hCmpRI(m *Machine, u *microOp) {
 	a := m.readDst(u)
 	if !u.nf {
 		m.putFlags(x64.AllFlags, subBits(a, u.imm, 0, (a-u.imm)&u.mask, u))
-	}
-}
-
-func hCmpMR(m *Machine, u *microOp) {
-	a := m.readReg(u.dst, u.mask)
-	b := m.load(m.effectiveAddr(u.in.Opd[0]), int(u.w))
-	if !u.nf {
-		m.putFlags(x64.AllFlags, subBits(a, b, 0, (a-b)&u.mask, u))
 	}
 }
 
@@ -2094,18 +1877,7 @@ func sext(v uint64, w uint8) int64 {
 
 func hImulRR(m *Machine, u *microOp) {
 	a := sext(m.readReg(u.dst, u.mask), u.w)
-	b := sext(m.readReg(u.src, u.mask), u.w)
-	hi, lo := mulSigned(a, b)
-	r := uint64(lo) & u.mask
-	if !u.nf {
-		m.putFlags(x64.AllFlags, imulBits(hi, lo, r, u))
-	}
-	m.writeALU(u, r)
-}
-
-func hImulMR(m *Machine, u *microOp) {
-	a := sext(m.readReg(u.dst, u.mask), u.w)
-	b := sext(m.load(m.effectiveAddr(u.in.Opd[0]), int(u.w)), u.w)
+	b := sext(m.readSrc(u), u.w)
 	hi, lo := mulSigned(a, b)
 	r := uint64(lo) & u.mask
 	if !u.nf {

@@ -77,7 +77,7 @@ func lowerDiv(u *microOp, in *x64.Inst) {
 // divideFault is the deterministic #DE outcome: count a sigfpe, zero the
 // implicit outputs, define all flags as zero (matching execDivide's fault
 // closure; widths here are 4 or 8, so the direct stores match writeGPR).
-// Execution continues after a #DE, so the liveness passes' nf/nr
+// Execution continues after a #DE, so the liveness pass's nf/nr
 // suppression applies to the fault path like any other write — the
 // sigfpe count itself is never suppressed.
 func (m *Machine) divideFault(u *microOp) {

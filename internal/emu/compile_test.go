@@ -134,9 +134,9 @@ func runBothLive(t *testing.T, mi, mc *emu.Machine, p *x64.Program, c *emu.Compi
 }
 
 // sameSelection fails the test unless the patched form's per-slot
-// liveness selection — dispatch code, nf and nr — equals a fresh
-// compile's: selection is a pure function of the program, never of the
-// patch history.
+// liveness selection — dispatch code, nf, nr and the live-in and live-out
+// sets — equals a fresh compile's: liveness and selection are pure
+// functions of the program, never of the patch history.
 func sameSelection(t *testing.T, patched, fresh *emu.Compiled, what string) {
 	t.Helper()
 	ps, fs := patched.SlotSelections(), fresh.SlotSelections()

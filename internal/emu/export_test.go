@@ -27,21 +27,25 @@ func (c *Compiled) FallbackSlots() []int {
 func (m *Machine) XmmRestores() int { return m.xmmRestores }
 
 // SlotSelection is one slot's liveness-driven selection: its dispatch
-// code and its flag (nf) and register (nr) suppression bits.
+// code, its flag (nf) and register (nr) suppression bits, and the packed
+// live-in and live-out sets (flags, XMMs and GPRs) they were selected
+// from.
 type SlotSelection struct {
-	Kind   uint8
-	NF, NR bool
+	Kind    uint8
+	NF, NR  bool
+	In, Out uint64
 }
 
 // SlotSelections exposes every slot's selection, so the differential
 // tests can pin a patched form's liveness results to a fresh compile's —
-// the suppression bits included, not just the dispatch codes and the
-// observable behaviour.
+// the suppression bits and live sets included, not just the dispatch
+// codes and the observable behaviour.
 func (c *Compiled) SlotSelections() []SlotSelection {
 	out := make([]SlotSelection, len(c.ops))
 	for i := range c.ops {
-		u := &c.ops[i]
-		out[i] = SlotSelection{Kind: uint8(u.kind), NF: u.nf, NR: u.nr}
+		u, s := &c.ops[i], &c.live[i]
+		out[i] = SlotSelection{Kind: uint8(u.kind), NF: u.nf, NR: u.nr,
+			In: uint64(s.in), Out: uint64(s.liveOut)}
 	}
 	return out
 }
@@ -54,7 +58,7 @@ func (c *Compiled) RegCountsByScan() (free, writing int) {
 		if c.ops[i].nr {
 			free++
 		}
-		if c.regs[i].writes() {
+		if c.live[i].writesRegs() {
 			writing++
 		}
 	}
@@ -64,9 +68,9 @@ func (c *Compiled) RegCountsByScan() (free, writing int) {
 // LiveOuts exposes the per-slot live-out flag sets computed by the
 // liveness pass, for the directed liveness tests.
 func (c *Compiled) LiveOuts() []x64.FlagSet {
-	out := make([]x64.FlagSet, len(c.flags))
-	for i := range c.flags {
-		out[i] = c.flags[i].liveOut
+	out := make([]x64.FlagSet, len(c.live))
+	for i := range c.live {
+		out[i] = x64.FlagSet(c.live[i].liveOut & flagBits)
 	}
 	return out
 }

@@ -2,9 +2,10 @@ package emu
 
 import "repro/internal/x64"
 
-// This file implements the backward flag-liveness pass of the compiled
-// pipeline. Every specialised ALU handler historically computed and stored
-// the full five-flag word (putFlags(x64.AllFlags, ...)) even when the next
+// This file implements the backward liveness pass of the compiled
+// pipeline, over one set of flags and registers per slot. Every
+// specialised ALU handler historically computed and stored the full
+// five-flag word (putFlags(x64.AllFlags, ...)) even when the next
 // flag-reading consumer was preceded by another flag write — on the search
 // workload the large majority of flag writes are dead, because ℓ-slot
 // candidates are dense with ALU instructions and sparse with Jcc/SETcc/
@@ -41,24 +42,25 @@ import "repro/internal/x64"
 //     same order either way, so the undef/sigsegv counters — observables
 //     of the cost function — cannot diverge.
 //
-// Register liveness. The same machinery runs a second backward pass over
-// 16-bit GPR and XMM sets: per slot, regSummary derives the registers the
-// handler reads (gen) and writes from the instruction's operand and
-// implicit effects (x64.EffectsOf), live-in is gen | liveOut &^ write,
-// and a slot every one of whose written registers is dead-out — and whose
-// flag writes, if any, are dead too — is write-suppressed: its nr bit is
-// set, and the inline shapes additionally swap to a shared mkDead*
-// dispatch code that performs only their reads (handler-dispatched shapes
-// honour nr inside the handler). The dataflow rules:
+// Register liveness. The same set carries the 16 GPRs and 16 XMMs beside
+// the five flags (liveSet: flags in the low byte), so one backward pass
+// and one transfer per slot serve both: per slot, liveSummary derives the
+// registers the handler reads (gen) and writes from the instruction's
+// operand and implicit effects (x64.EffectsOf), live-in is
+// gen | liveOut &^ kill, and a slot none of whose written registers or
+// flags is live-out is write-suppressed: its nr bit is set, and the
+// inline shapes additionally swap to a shared mkDead* dispatch code that
+// performs only their reads (handler-dispatched shapes honour nr inside
+// the handler). The register dataflow rules:
 //
-//   - Exits gen the Compiled's exitRegs masks: all registers under
-//     plain Compile (full final state stays comparable against the
-//     interpreter), the kernel's live-out set under CompileLive (the
+//   - Exits gen the Compiled's exit set: every flag, plus all registers
+//     under plain Compile (full final state stays comparable against the
+//     interpreter) or the kernel's live-out set under CompileLive (the
 //     §4.2 cost function observes nothing else; the engine compiles
 //     candidates this way).
 //   - Every modelled register write is unconditional (CMOV always writes,
 //     zero-count shifts rewrite their destination, DIV defines RAX/RDX on
-//     both the fault and success paths), so kill == write.
+//     both the fault and success paths), so register kill == write.
 //   - Partial-width merge semantics: a 4/8-byte write is a full kill
 //     (32-bit writes zero-extend); a 1/2-byte write merges into the
 //     untouched bytes, which EffectsOf models by putting the narrow
@@ -67,7 +69,7 @@ import "repro/internal/x64"
 //     later wide write, and suppressing its RegDef update is invisible.
 //     XMM writes are always full 128-bit kills.
 //   - The dependency-breaking zero idioms (xor r,r / sub r,r / pxor x,x)
-//     read nothing at wide widths; regSummary drops their false
+//     read nothing at wide widths; liveSummary drops their false
 //     self-read so the upstream write can die.
 //   - Memory operands read their base/index registers; MUL/IMUL/DIV/IDIV
 //     use their implicit RAX/RDX sets precisely (reads keep upstream
@@ -98,150 +100,133 @@ import "repro/internal/x64"
 // at slot ℓ-1 whose liveness change survives a kill-free prefix — the
 // walk is O(ℓ); BenchmarkPatchLiveness measures exactly that shape.
 
-// flagSummary derives the liveness summary of one executable instruction:
-// gen is the set of flags it reads (condition codes included), write the
-// set it may write, and kill the subset of write it unconditionally
-// redefines (value and definedness both).
-func flagSummary(in *x64.Inst) (gen, kill, write x64.FlagSet) {
+// liveSet is one packed liveness set: the flags in the low byte, the XMMs
+// above them and the GPRs above those, so flags and both register files
+// flow through one OR/AND-NOT pair per slot and every dead test is one
+// mask.
+type liveSet uint64
+
+const (
+	flagBits liveSet = 0xff // the x64.FlagSet byte
+	regBits          = ^flagBits
+)
+
+// packLive packs a GPR set, an XMM set and a flag set into one liveSet.
+func packLive(gpr, xmm uint16, fl x64.FlagSet) liveSet {
+	return liveSet(gpr)<<24 | liveSet(xmm)<<8 | liveSet(fl)
+}
+
+// slotLive is the liveness state of one slot: the flags and registers the
+// instruction reads (gen), unconditionally redefines (kill) and may write
+// (write), the analysis results (in/liveOut) its nf and nr bits are
+// selected from, the recorded base dispatch code re-selection starts from
+// (the dead codes are many-to-one, so the current u.kind cannot be
+// inverted), and the suppression eligibility decided at lowering time.
+// Kept out of microOp deliberately: the run loop never reads liveness
+// state, and microOp fills exactly one cache line — benchmarked, growing
+// it past 64 bytes costs more than the pass saves.
+type slotLive struct {
+	gen, kill, write liveSet
+	in, liveOut      liveSet
+	base             microKind
+	eligible         bool
+}
+
+// writesRegs reports whether the slot writes any register at all, the
+// denominator of the suppressed-register fraction.
+func (s *slotLive) writesRegs() bool { return s.write&regBits != 0 }
+
+// liveSummary derives the liveness summary of one executable instruction
+// from its flag signature and its operand and implicit register effects,
+// and reports whether it writes memory. Register kill equals write; a
+// flag is killed only when its value and definedness are rewritten
+// unconditionally. The emulator's specialised handlers implement exactly
+// these reads and writes (the differential fuzz targets pin that); the
+// zero idioms are the one spot the effects table is conservative, so
+// their false self-read is dropped at the widths whose handlers read
+// nothing.
+func liveSummary(in *x64.Inst) (gen, kill, write liveSet, memWrite bool) {
 	info := x64.Info(in.Op)
-	gen = info.FlagsRead
+	fgen := info.FlagsRead
 	if info.HasCC {
-		gen |= x64.FlagsReadByCond(in.CC)
+		fgen |= x64.FlagsReadByCond(in.CC)
 	}
-	write = info.FlagsWrite
-	kill = write
+	fwrite := info.FlagsWrite
+	fkill := fwrite
 	if info.CondFlags {
 		// Shift-family opcodes leave every flag untouched when the
 		// (masked) count is zero: a CL count is dynamic, so these slots
 		// kill nothing; an immediate count is decidable at decode time.
-		kill = 0
+		fkill = 0
 		if in.Opd[0].Kind == x64.KindImm && info.DstSlot > 0 {
 			mask := int64(31)
 			if in.Opd[info.DstSlot].Width == 8 {
 				mask = 63
 			}
 			if in.Opd[0].Imm&mask == 0 {
-				write = 0 // never writes flags at all
+				fwrite = 0 // never writes flags at all
 			} else {
-				kill = write
+				fkill = fwrite
 			}
 		}
 	}
-	return gen, kill, write
-}
-
-// slotRegs is the register-liveness state of one slot: the packed
-// GPR+XMM sets the handler reads (gen) and writes (write), the analysis
-// results (in/liveOut), the recorded base dispatch code re-selection
-// starts from (the dead codes are many-to-one, so the current u.kind
-// cannot be inverted), and the suppression eligibility
-// decided at lowering time. Kept beside slotFlags, outside microOp, for
-// the same cache-line reason.
-type slotRegs struct {
-	gen      uint32
-	write    uint32
-	in       uint32
-	liveOut  uint32
-	base     microKind
-	eligible bool
-	memWrite bool
-}
-
-// packRegs packs a GPR set (high half) and an XMM set (low half) into
-// the single word the analysis operates on: both register files flow
-// through one OR/AND-NOT pair per slot, and the dead test is one mask.
-func packRegs(gpr, xmm uint16) uint32 { return uint32(gpr)<<16 | uint32(xmm) }
-
-// writes reports whether the slot writes any register at all, the
-// denominator of the suppressed-register fraction.
-func (rg *slotRegs) writes() bool { return rg.write != 0 }
-
-// regSummary derives the register-liveness summary of one executable
-// instruction from its operand and implicit effects. The emulator's
-// specialised handlers implement exactly these reads and writes (the
-// differential fuzz targets pin that); the zero idioms are the one spot
-// the effects table is conservative, so their false self-read is dropped
-// at the widths whose handlers read nothing.
-func regSummary(in *x64.Inst) slotRegs {
 	e := x64.EffectsOf(*in)
-	rg := slotRegs{
-		gen:      packRegs(uint16(e.GPRRead), e.XMMRead),
-		write:    packRegs(uint16(e.GPRWrite), e.XMMWrite),
-		memWrite: e.MemWrite,
-	}
+	gen = packLive(uint16(e.GPRRead), e.XMMRead, fgen)
+	write = packLive(uint16(e.GPRWrite), e.XMMWrite, 0)
+	kill = write | liveSet(fkill)
+	write |= liveSet(fwrite)
 	switch in.Op {
 	case x64.XOR, x64.SUB:
 		d, s := in.Opd[1], in.Opd[0]
 		if d.Kind == x64.KindReg && s.Kind == x64.KindReg &&
 			s.Reg == d.Reg && s.Width == d.Width && d.Width >= 4 {
-			rg.gen &^= packRegs(1<<d.Reg, 0)
+			gen &^= packLive(1<<d.Reg, 0, 0)
 		}
 	case x64.PXOR:
 		d, s := in.Opd[1], in.Opd[0]
 		if d.Kind == x64.KindXmm && s.Kind == x64.KindXmm && s.Reg == d.Reg {
-			rg.gen &^= packRegs(0, 1<<d.Reg)
+			gen &^= packLive(0, 1<<d.Reg, 0)
 		}
 	}
-	return rg
+	return gen, kill, write, e.MemWrite
 }
 
 // liveInAt reads the stored live-in of slot j, with every index at or past
-// the program end standing for an exit (all flags observable).
-func (c *Compiled) liveInAt(j int) x64.FlagSet {
+// the program end standing for an exit (the exit set observable).
+func (c *Compiled) liveInAt(j int) liveSet {
 	if j >= len(c.ops) {
-		return x64.AllFlags
+		return c.exit
 	}
-	return c.liveIn[j]
+	return c.live[j].in
 }
 
-// regLiveInAt reads the stored packed register live-in set of slot j,
-// with every index at or past the program end standing for an exit (the
-// exitRegs masks observable).
-func (c *Compiled) regLiveInAt(j int) uint32 {
-	if j >= len(c.ops) {
-		return c.exitRegs
-	}
-	return c.regs[j].in
-}
-
-// recomputeSlot refreshes slot j's live-out and live-in — flag and
-// register sets in one walk — from its successors' stored live-ins.
-// Successors follow slot order (j+1), not the skip chain, so
-// UNUSED/LABEL slots propagate liveness transparently; RET has no
-// successor and its AllFlags/exitRegs gens model the exit.
-// outChanged reports only selection-relevant change: live-out bits
-// masked by the slot's own write sets, the sole live-out inputs of
-// applyLiveness — a changed bit the slot does not write cannot flip its
-// selection, so patchLiveness skips re-selection for it (the
-// common case on a long walk: a liveness flip streaming through slots
-// that merely propagate it).
+// recomputeSlot refreshes slot j's live-out and live-in from its
+// successors' stored live-ins. Successors follow slot order (j+1), not the
+// skip chain, so UNUSED/LABEL slots propagate liveness transparently; RET
+// has no successor and its exit-set gen models the exit. outChanged
+// reports only selection-relevant change: live-out bits masked by the
+// slot's own write set, the sole live-out input of applyLiveness — a
+// changed bit the slot does not write cannot flip its selection, so
+// patchLiveness skips re-selection for it (the common case on a long
+// walk: a liveness flip streaming through slots that merely propagate
+// it).
 func (c *Compiled) recomputeSlot(j int) (inChanged, outChanged bool) {
 	u := &c.ops[j]
-	f := &c.flags[j]
-	rg := &c.regs[j]
-	var lo x64.FlagSet
-	var loR uint32
+	s := &c.live[j]
+	var lo liveSet
 	switch u.kind {
 	case mkRet:
-		lo = 0
 	case mkJmp:
 		lo = c.liveInAt(int(u.target))
-		loR = c.regLiveInAt(int(u.target))
 	case mkJcc:
 		lo = c.liveInAt(int(u.target)) | c.liveInAt(j+1)
-		loR = c.regLiveInAt(int(u.target)) | c.regLiveInAt(j+1)
 	default:
 		lo = c.liveInAt(j + 1)
-		loR = c.regLiveInAt(j + 1)
 	}
-	li := f.gen | lo&^f.kill
-	liR := rg.gen | loR&^rg.write
-	outChanged = (lo^f.liveOut)&f.write != 0 || (loR^rg.liveOut)&rg.write != 0
-	f.liveOut = lo
-	rg.liveOut = loR
-	inChanged = li != c.liveIn[j] || liR != rg.in
-	c.liveIn[j] = li
-	rg.in = liR
+	li := s.gen | lo&^s.kill
+	outChanged = (lo^s.liveOut)&s.write != 0
+	inChanged = li != s.in
+	s.liveOut, s.in = lo, li
 	return inChanged, outChanged
 }
 
@@ -282,27 +267,25 @@ func (c *Compiled) patchLiveness(i int) {
 }
 
 // applyLiveness selects slot i's suppression bits and dispatch code from
-// its live-out sets. Flags are one bit: nf is set when the slot writes
+// its live-out set. Flags are one bit: nf is set when the slot writes
 // flags and none of them is live-out, and every flag-writing body — inline
 // code, specialised handler, or the generic fallback, which restores the
 // flag words around the interpreter switch (hGeneric) — guards its flag
-// work on it. A slot is register-dead when it is eligible, none of the
-// GPRs/XMMs it writes is live-out and its flag writes (if any) are dead
-// too; it then gets the nr bit and, on the inline shapes, the mkDead*
-// code performing only its reads (partially-live slots keep their base
-// code and write the register: never suppressing is always sound). The
-// choice is a pure function of the slot's summary and live-out sets,
-// which keeps patched and fresh selection identical. Only kind, nf and nr
-// are ever touched — u.run stays the full handler, which is what lets the
-// bounded loop recover all-live semantics from a copy with both bits
-// cleared.
+// work on it. A slot is register-dead when it is eligible and nothing it
+// writes, register or flag, is live-out; it then gets the nr bit and, on
+// the inline shapes, the mkDead* code performing only its reads
+// (partially-live slots keep their base code and write the register:
+// never suppressing is always sound). The choice is a pure function of
+// the slot's summary and live-out set, which keeps patched and fresh
+// selection identical. Only kind, nf and nr are ever touched — u.run
+// stays the full handler, which is what lets the bounded loop recover
+// all-live semantics from a copy with both bits cleared.
 func (c *Compiled) applyLiveness(i int) {
 	u := &c.ops[i]
-	f := &c.flags[i]
-	rg := &c.regs[i]
-	deadF := f.liveOut&f.write == 0
-	u.nf = f.write != 0 && deadF
-	nr := rg.eligible && deadF && rg.write&rg.liveOut == 0
+	s := &c.live[i]
+	live := s.write & s.liveOut
+	u.nf = s.write&flagBits != 0 && live&flagBits == 0
+	nr := s.eligible && live == 0
 	if nr != u.nr {
 		if nr {
 			c.nrCount++
@@ -311,38 +294,50 @@ func (c *Compiled) applyLiveness(i int) {
 		}
 		u.nr = nr
 	}
-	u.kind = rg.base
+	u.kind = s.base
 	if nr {
-		u.kind = deadKind(rg.base, u.w >= 4)
+		u.kind = deadKind(s.base, u.w >= 4)
 	}
 }
 
 // deadKind maps a full base dispatch code to its write-suppressed code —
 // the shared mkDead* shape performing exactly the base body's reads (the
 // mapping is many-to-one, so re-selection always starts from the recorded
-// base).
-// Handler-dispatched shapes map to themselves: their handlers honour the
-// nr bit directly (writeALU is the chokepoint for the ALU-shaped bodies;
-// the mul/div/xchg/load/SSE-store-free handlers guard explicitly). wide
-// distinguishes the movsx destinations, the one base code spanning both
-// a full-kill and a merge write.
+// base). wide picks the shape for the codes that serve every destination
+// width: a 4/8-byte write is a full kill with no extra read, while a
+// 1/2-byte one also counts the merge read of its destination (the N
+// shapes). Handler-dispatched shapes map to themselves: their handlers
+// honour the nr bit directly (writeALU is the chokepoint for the
+// ALU-shaped bodies; the mul/div/xchg/load/SSE-store-free handlers guard
+// explicitly).
 func deadKind(base microKind, wide bool) microKind {
 	switch base {
-	case mkMovRIW, mkZeroW, mkPXorZero:
+	case mkMovRI, mkZero:
+		if wide {
+			return mkDeadNone
+		}
+		return mkDeadN
+	case mkPXorZero:
 		return mkDeadNone
-	case mkMovRRW, mkMovdRX:
-		return mkDeadR
-	case mkMovsxRR:
+	case mkMovRR, mkMovsxRR:
 		if wide {
 			return mkDeadR
 		}
 		return mkDeadRN
-	case mkAddRIW, mkSubRIW, mkAndRIW, mkOrRIW, mkXorRIW,
-		mkIncW, mkDecW, mkNegW, mkNotW,
-		mkShlIW, mkShrIW, mkSarIW:
+	case mkMovdRX:
+		return mkDeadR
+	case mkAddRI, mkSubRI, mkAndRI, mkOrRI, mkXorRI, mkInc, mkDec, mkNeg:
+		if wide {
+			return mkDeadRD
+		}
+		return mkDeadRDN
+	case mkNotW, mkShlIW, mkShrIW, mkSarIW:
 		return mkDeadRD
-	case mkAddRRW, mkSubRRW, mkAndRRW, mkOrRRW, mkXorRRW:
-		return mkDeadRR
+	case mkAddRR, mkSubRR, mkAndRR, mkOrRR, mkXorRR:
+		if wide {
+			return mkDeadRR
+		}
+		return mkDeadRRN
 	case mkLeaW:
 		return mkDeadEA
 	case mkMovLoadW:
@@ -351,15 +346,6 @@ func deadKind(base microKind, wide bool) microKind {
 		return mkDeadCmov
 	case mkSetcc:
 		return mkDeadSetcc
-	case mkMovRIN, mkZeroN:
-		return mkDeadN
-	case mkMovRRN:
-		return mkDeadRN
-	case mkAddRIN, mkSubRIN, mkAndRIN, mkOrRIN, mkXorRIN,
-		mkIncN, mkDecN, mkNegN:
-		return mkDeadRDN
-	case mkAddRRN, mkSubRRN, mkAndRRN, mkOrRRN, mkXorRRN:
-		return mkDeadRRN
 	case mkMovXX, mkPshufd:
 		return mkDeadX
 	case mkShufps, mkPAddW, mkPSubW, mkPMullW,
@@ -402,8 +388,8 @@ func (c *Compiled) FlagFreeSlots() int {
 // denominator of the flag-free fraction tracked by BENCH_eval.json.
 func (c *Compiled) FlagWritingSlots() int {
 	n := 0
-	for i := range c.flags {
-		if c.flags[i].write != 0 {
+	for i := range c.live {
+		if c.live[i].write&flagBits != 0 {
 			n++
 		}
 	}

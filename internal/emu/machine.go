@@ -24,13 +24,12 @@
 //     signature table, memory operands included, lowers to a specialised
 //     handler; only instructions built outside that table reach the
 //     interpreting fallback (GenericDispatches counts them). A backward
-//     liveness pass
+//     liveness pass over one packed set of flags, GPRs and XMMs per slot
 //     additionally suppresses the flag computation of slots whose writes
-//     no condition consumer or exit can observe (the nf bit), and — in the
-//     same walk, over packed 16-bit GPR/XMM sets — the register stores of
-//     slots none of whose written registers is live-out (the nr bit and
-//     the mkDead* codes), re-selecting both incrementally as patches shift
-//     liveness (see liveness.go).
+//     no condition consumer or exit can observe (the nf bit), and the
+//     register stores of slots none of whose written registers or flags is
+//     live-out (the nr bit and the mkDead* codes), re-selecting both
+//     incrementally as patches shift liveness (see liveness.go).
 //
 // Both forms agree on every observable (Outcome counters, registers, flags,
 // memory, definedness); randomized differential tests enforce this. Under

@@ -36,9 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/canon"
 	"repro/internal/store"
-	"repro/internal/verify"
 	"repro/internal/x64"
 	"repro/stoke"
 )
@@ -160,7 +158,7 @@ type job struct {
 	tenant string
 	kernel stoke.Kernel
 	opts   []stoke.Option
-	dedup  string // store.Key(fp, consts); "" when no store is configured
+	dedup  string // Kernel.StoreKey(); "" when no store is configured
 
 	cancel context.CancelFunc
 
@@ -535,18 +533,6 @@ func budgetOptions(b Budgets) []stoke.Option {
 	return opts
 }
 
-// dedupKey computes the content address a submission would occupy in the
-// store — the in-flight dedup identity.
-func dedupKey(k stoke.Kernel) string {
-	form := canon.Canonicalize(k.Target, verify.LiveOut{
-		GPRs:  k.Spec.LiveOut.GPRs,
-		Xmms:  k.Spec.LiveOut.Xmms,
-		Flags: k.Spec.LiveOut.Flags,
-		Mem:   k.LiveMem,
-	})
-	return store.Key(form.FP.Hex(), form.Consts)
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.drain.Load() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
@@ -573,7 +559,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var dedup string
 	if s.cfg.Store != nil {
 		opts = append(opts, stoke.WithRewriteStore(s.cfg.Store))
-		dedup = dedupKey(k)
+		// The in-flight dedup identity is the key the search stores its
+		// result under.
+		dedup = k.StoreKey()
 
 		// Synchronous fast path: an exact, revalidated store hit answers
 		// the POST immediately — no job, no queue, no search.

@@ -52,16 +52,19 @@ func TestBankPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBankSchemaVersioning: logs written before the bank existed (no bank
-// fields) still load, and bank payloads under a foreign schema version are
-// ignored rather than misinterpreted.
+// TestBankSchemaVersioning: records of an older format version — the
+// global !cexbank record and a regular entry, whose counterexamples were
+// stored in the submitter's registers — load as bad records and contribute
+// nothing to the bank (a cold cache, never a misread cex), while a
+// current-version entry's counterexamples fold into the global bank.
 func TestBankSchemaVersioning(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	legacy, _ := json.Marshal(entry("aa11", nil, "legacy rewrite"))
-	future := &Entry{Version: Version, FP: bankFP, BankV: BankVersion + 1,
-		Bank: []Cex{cex(9)}}
-	futureLine, _ := json.Marshal(future)
-	content := string(legacy) + "\n" + string(futureLine) + "\n"
+	old := entry("aa11", nil, "legacy rewrite")
+	old.Version = Version - 1
+	oldLine, _ := json.Marshal(old)
+	oldBank := &Entry{Version: Version - 1, FP: bankFP, Cexs: []Cex{cex(9)}}
+	oldBankLine, _ := json.Marshal(oldBank)
+	content := string(oldLine) + "\n" + string(oldBankLine) + "\n"
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -69,21 +72,23 @@ func TestBankSchemaVersioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s.Get("aa11", nil); !ok {
-		t.Fatal("pre-bank record failed to load")
+	if _, ok := s.Get("aa11", nil); ok {
+		t.Fatal("old-version record served")
+	}
+	if st := s.Stats(); st.BadRecords != 2 {
+		t.Fatalf("BadRecords %d, want 2 (both old-version records)", st.BadRecords)
 	}
 	if s.BankLen() != 0 {
-		t.Fatalf("foreign-version bank payload folded anyway: BankLen %d", s.BankLen())
+		t.Fatalf("old-version cexs folded anyway: BankLen %d", s.BankLen())
 	}
-	// A versioned per-entry Bank folds into the global bank on load.
+	// A current-version entry's counterexamples fold into the global bank.
 	e := entry("bb22", nil, "banked rewrite")
-	e.BankV = BankVersion
-	e.Bank = []Cex{cex(3)}
+	e.Cexs = []Cex{cex(3)}
 	if err := s.Put(e); err != nil {
 		t.Fatal(err)
 	}
 	if s.BankLen() != 1 {
-		t.Fatalf("current-version entry bank not folded: BankLen %d", s.BankLen())
+		t.Fatalf("current-version entry cexs not folded: BankLen %d", s.BankLen())
 	}
 	s2, _ := Open(path, 8)
 	if s2.BankLen() != 1 {

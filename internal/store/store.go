@@ -29,14 +29,10 @@ import (
 
 // Version is the record format version; records with any other version are
 // skipped on load (forward- and backward-compatibly: they count as bad
-// records, not errors).
-const Version = 1
-
-// BankVersion is the schema version of the counterexample-bank field
-// (Entry.BankV / Entry.Bank). Bank payloads with any other version are
-// ignored on load — old logs without the field (BankV zero) still load,
-// they just contribute nothing to the bank.
-const BankVersion = 1
+// records, not errors). Version 2 stores counterexamples once, in
+// canonical register space; version 1 records, whose cexs were in the
+// submitter's registers, load as bad records (a cold cache).
+const Version = 2
 
 // bankFP is the reserved pseudo-fingerprint under which the global
 // counterexample bank is persisted as an ordinary JSONL record. It is not
@@ -81,25 +77,18 @@ type Entry struct {
 	// CostH is the Eq.13 static latency sum of the canonical rewrite.
 	CostH float64 `json:"cost_h"`
 
-	// Cexs is the counterexample set that refined this kernel's τ; served
-	// hits replay it as cheap revalidation, near-misses seed their τ with
-	// it.
+	// Cexs is the counterexample set that refined this kernel's τ, in
+	// *canonical* register space (mapped through the submitting kernel's
+	// canon.Form bijection), so a cex found on one kernel replays on every
+	// α-renamed sibling. Served hits replay it as cheap revalidation,
+	// near-misses seed their τ with it, and Open folds it into the global
+	// bank. The record under the reserved bank key carries the whole
+	// global bank here.
 	Cexs []Cex `json:"cexs,omitempty"`
 
 	// Profile is the SharedProfile counter snapshot (testcase-rejection
 	// profile) learned during the search that produced the rewrite.
 	Profile []int64 `json:"profile,omitempty"`
-
-	// BankV versions the Bank field independently of the record format;
-	// payloads whose BankV differs from BankVersion are ignored on load.
-	BankV int `json:"bank_v,omitempty"`
-
-	// Bank holds counterexamples in *canonical* register space (mapped
-	// through the submitting kernel's canon.Form bijection), so a cex found
-	// on one kernel replays on every α-renamed sibling. Entries under the
-	// reserved bank key carry the whole global bank here; regular entries
-	// carry the canonicalised cexs of their own kernel.
-	Bank []Cex `json:"bank,omitempty"`
 
 	Meta Meta `json:"meta"`
 }
@@ -207,14 +196,11 @@ func Open(path string, memCap int) (*Store, error) {
 	return s, nil
 }
 
-// foldBank merges any versioned bank payload carried by e into the global
+// foldBank merges the counterexamples carried by e into the global
 // counterexample bank (deduplicated, bounded). Caller holds mu or is still
 // single-threaded in Open.
 func (s *Store) foldBank(e *Entry) {
-	if e.BankV != BankVersion {
-		return
-	}
-	for _, cx := range e.Bank {
+	for _, cx := range e.Cexs {
 		s.addCexLocked(cx)
 	}
 }
@@ -406,8 +392,7 @@ func (s *Store) AddCexs(cexs []Cex) error {
 	return s.appendLocked(&Entry{
 		Version: Version,
 		FP:      bankFP,
-		BankV:   BankVersion,
-		Bank:    append([]Cex(nil), s.bank...),
+		Cexs:    append([]Cex(nil), s.bank...),
 	})
 }
 
@@ -507,7 +492,7 @@ func (s *Store) compactLocked() error {
 		}
 	}
 	if len(s.bank) > 0 {
-		be := &Entry{Version: Version, FP: bankFP, BankV: BankVersion, Bank: s.bank}
+		be := &Entry{Version: Version, FP: bankFP, Cexs: s.bank}
 		if err := enc.Encode(be); err != nil {
 			tmp.Close()
 			return fmt.Errorf("store: compact: %w", err)

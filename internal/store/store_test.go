@@ -18,7 +18,6 @@ func entry(fp string, consts []int64, rewrite string) *Entry {
 		Target:  "movq rcx, rax\naddq rdx, rax",
 		Rewrite: rewrite,
 		CostH:   2,
-		Cexs:    []Cex{{Regs: [16]uint64{1, 2, 3}, Flags: 0x1f}},
 		Profile: []int64{5, 0, 3},
 		Meta:    Meta{Kernel: "add", Verdict: "equal", Proposals: 1234},
 	}
@@ -31,6 +30,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := entry("aa11", []int64{42, 7}, "leaq (rcx,rdx,1), rax")
+	e.Cexs = []Cex{{Regs: [16]uint64{1, 2, 3}, Flags: 0x1f}}
 	if err := s.Put(e); err != nil {
 		t.Fatal(err)
 	}

@@ -41,6 +41,15 @@ func liveOutFor(k Kernel) verify.LiveOut {
 	}
 }
 
+// StoreKey returns the exact rewrite-store key Optimize looks k up and
+// stores its proven rewrite under: the canonical fingerprint of the target
+// over its live-out view, plus the target's constant vector. Servers use
+// it as the in-flight dedup identity of a submission.
+func (k Kernel) StoreKey() string {
+	form := canon.Canonicalize(k.Target, liveOutFor(k))
+	return store.Key(form.FP.Hex(), form.Consts)
+}
+
 // cacheWarm is the near-miss warm-start material carried into a search;
 // optimize proves start before deciding whether to synthesize.
 type cacheWarm struct {
@@ -84,17 +93,12 @@ func (e *Engine) cacheProbe(k Kernel, st *settings, form *canon.Form,
 
 	m := emu.New()
 
-	// entryCexs picks an entry's counterexample set for replay: the
-	// canonical-space Bank (mapped into the submitter's register space
-	// through *this* submission's form, so α-renamed siblings replay
-	// correctly) when its schema version matches, else the legacy Cexs
-	// recorded in the original submitter's register space.
+	// entryCexs maps an entry's canonical-space counterexamples into the
+	// submitter's register space through *this* submission's form, so
+	// α-renamed siblings replay them correctly.
 	entryCexs := func(entry *store.Entry) []store.Cex {
-		if entry.BankV != store.BankVersion || len(entry.Bank) == 0 {
-			return entry.Cexs
-		}
-		out := make([]store.Cex, len(entry.Bank))
-		for i, cx := range entry.Bank {
+		out := make([]store.Cex, len(entry.Cexs))
+		for i, cx := range entry.Cexs {
 			out[i] = kernelCex(form, cx)
 		}
 		return out
@@ -195,14 +199,11 @@ func cachePut(k Kernel, st *settings, form *canon.Form, rep *Report,
 			Verdict:     rep.Verdict.String(),
 		},
 	}
-	// The Bank field carries the same counterexamples in canonical space
-	// (versioned separately), so any α-renamed sibling submission — whose
-	// registers this kernel's Cexs say nothing about — replays them
-	// correctly, and the store folds them into the global bank on load.
+	// The counterexamples are stored in canonical space, so any α-renamed
+	// sibling submission replays them correctly, and the store folds them
+	// into the global bank on load.
 	for _, tc := range tests[generated:] {
-		entry.Cexs = append(entry.Cexs, store.Cex{Regs: tc.In.Regs, Xmm: tc.In.Xmm, Flags: uint8(tc.In.Flags)})
-		entry.Bank = append(entry.Bank, canonCex(form, tc.In))
-		entry.BankV = store.BankVersion
+		entry.Cexs = append(entry.Cexs, canonCex(form, tc.In))
 	}
 	_ = st.store.Put(entry) // persistence failure degrades to cache-cold, never fails the run
 }

@@ -100,12 +100,12 @@
 //     EventGateDefer).
 //   - SAT. Whatever survives is proven by verify.Equivalent, with each
 //     query's wall-clock and encoded clause count recorded in
-//     Report.Proofs (TimeP/ClausesP percentiles). The bit-vector builder
-//     folds the stack round trips and 32-bit zero extensions of an -O0
-//     target, and a live output whose two terms match up to commutative
-//     operand order leaves the miter; when none is left, the query is an
-//     Equal without a SAT call (Report.Proofs.Structural), and only the
-//     remaining queries contribute clause samples.
+//     Report.Proofs. The bit-vector builder folds the stack round trips
+//     and 32-bit zero extensions of an -O0 target, and a live output whose
+//     two terms match up to commutative operand order leaves the miter;
+//     when none is left, the query is an Equal without a SAT call
+//     (Report.Proofs.Structural), and only the remaining queries
+//     contribute clause samples.
 //
 // Both shortcuts are soundness-preserving by construction. A replay kill
 // rests on re-running the *target* concretely on the banked state, so the

@@ -1,8 +1,6 @@
 package stoke
 
 import (
-	"math"
-	"sort"
 	"time"
 
 	"repro/internal/mcmc"
@@ -110,52 +108,6 @@ type ProofProfile struct {
 	// SAT, so its percentiles rise when more queries close structurally.
 	Times   []time.Duration
 	Clauses []int
-}
-
-// TimeP returns the q-quantile (0 ≤ q ≤ 1, nearest-rank) of the per-query
-// proof times, or zero with no samples.
-func (p *ProofProfile) TimeP(q float64) time.Duration {
-	i, ok := rankIndex(len(p.Times), q)
-	if !ok {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), p.Times...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	return sorted[i]
-}
-
-// ClausesP returns the q-quantile (nearest-rank) of the per-query clause
-// counts, or zero with no samples.
-func (p *ProofProfile) ClausesP(q float64) int {
-	i, ok := rankIndex(len(p.Clauses), q)
-	if !ok {
-		return 0
-	}
-	sorted := append([]int(nil), p.Clauses...)
-	sort.Ints(sorted)
-	return sorted[i]
-}
-
-// rankIndex maps a quantile onto a nearest-rank index into n sorted
-// samples.
-func rankIndex(n int, q float64) (int, bool) {
-	if n == 0 {
-		return 0, false
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	i := int(math.Ceil(q*float64(n))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	return i, true
 }
 
 // RegFreeFraction is the dynamic fraction of register-writing slots whose
