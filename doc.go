@@ -50,7 +50,7 @@
 // slot none of whose written registers — partial-width merge semantics,
 // zero idioms and the divide family's implicit RAX/RDX included — is
 // live-out gets the nr bit and, on the inline shapes, a write-suppressed
-// dispatch code that keeps the full handler's reads, faults and undef
+// dispatch code that keeps the base shape's reads, faults and undef
 // accounting but skips the value and definedness stores. Patch keeps the MCMC contract by recomputing
 // liveness only over the affected backward slice (worst case O(ℓ),
 // ~8ns/slot for both passes; the sampler's reject path restores patched

@@ -37,7 +37,8 @@ import (
 //     UNUSED/LABEL slots are never visited at all — a mostly-empty ℓ=50
 //     candidate costs as many dispatches as it has live instructions —
 //     and the strictly-forward pc makes the step-budget check provably
-//     dead for programs that fit it, so the common loop omits it.
+//     dead for programs that fit it, so the loop omits it (a longer
+//     program runs on the interpreter).
 //   - Jump targets are linked at compile time instead of scanning for
 //     labels on every taken branch; Compile also caches the Equation 13
 //     static-latency sum, maintained incrementally across patches.
@@ -71,14 +72,15 @@ const (
 	mkJcc                   // conditional forward jump, pre-linked
 
 	// Hot-shape codes: the dispatch loop inlines these to avoid the
-	// indirect handler call. Every hot slot still carries its handler, so
-	// the bounded fallback loop needs no second copy of the bodies. Unless
-	// a "W" suffix restricts a code to wide (4/8-byte) destinations, one
-	// code serves every width: its body stores a 4/8-byte result directly
-	// and merges a 1/2-byte one (the proposal distribution draws widths
-	// uniformly, so half of all ALU proposals are narrow). Like the
-	// handlers, every flag-writing inline body stores its flags only when
-	// the slot's nf bit is clear.
+	// indirect handler call. The inline body is the only copy of a shape
+	// that no other operand form reaches; a handler exists beside it only
+	// for the forms the body cannot serve (memory-routed operands, and the
+	// narrow destinations of a "W" code). Unless a "W" suffix restricts a
+	// code to wide (4/8-byte) destinations, one code serves every width:
+	// its body stores a 4/8-byte result directly and merges a 1/2-byte one
+	// (the proposal distribution draws widths uniformly, so half of all
+	// ALU proposals are narrow). Like the handlers, every flag-writing
+	// inline body stores its flags only when the slot's nf bit is clear.
 	mkMovRR
 	mkMovRI
 	mkMovLoadW
@@ -107,9 +109,9 @@ const (
 
 	// SSE hot-shape codes: the register-to-register packed-arithmetic,
 	// logical, shuffle and move forms the saxpy-class vector kernels are
-	// built from. The dispatch loop calls their handlers statically
-	// (skipping the indirect call); memory-source forms stay on the
-	// indirect handler path.
+	// built from, plus the 128-bit loads and stores. The dispatch loop runs
+	// them inline (the shuffles through static handler calls); the packed
+	// memory-source forms stay on the indirect handler path.
 	mkMovdRX // GPR→XMM movd/movq (the broadcast idiom's first half)
 	mkMovXX  // XMM→XMM movaps/movups copy
 	mkMovupsLoad
@@ -149,9 +151,9 @@ const (
 	// destination — and skips the register write and the flag work
 	// entirely. The mapping is many-to-one (deadKind), so re-selection
 	// always starts from the base kind recorded at lowering time, never
-	// from the current code. u.run stays the full handler for the bounded
-	// loop. These codes measured faster than nr-guarded inline bodies or
-	// routing dead slots through their handlers (ROADMAP direction 4).
+	// from the current code. These codes measured faster than nr-guarded
+	// inline bodies or routing dead slots through their handlers (ROADMAP
+	// direction 4).
 	mkDeadNone  // no reads at all (mov r,imm / zero idioms / pxor x,x)
 	mkDeadR     // reads src (mov r,r / movd r→x / wide movsx)
 	mkDeadRD    // reads dst (wide imm ALU, inc/dec/neg/not, imm shifts)
@@ -170,7 +172,8 @@ const (
 )
 
 // kindW tags a lowered slot with a hot-dispatch code when the destination
-// is wide enough for the inline body's direct register store.
+// is wide enough for the inline body's direct register store; a narrow one
+// stays on the handler.
 func (u *microOp) kindW(k microKind) {
 	if u.w >= 4 {
 		u.kind = k
@@ -510,7 +513,6 @@ func (c *Compiled) lowerSlot(i int) {
 		return
 	}
 	u.kind = mkExec
-	u.run = nil // sentinel: lowerExec sets it iff a specialised handler applies
 	lowerExec(u, in)
 	if u.md|u.ms != 0 {
 		// Memory-routed operands have no inline body: the run loop's hot
@@ -520,10 +522,10 @@ func (c *Compiled) lowerSlot(i int) {
 	var memWrite bool
 	lv.gen, lv.kill, lv.write, memWrite = liveSummary(in)
 	lv.base = u.kind
-	// Write suppression applies only to slots lowered onto a specialised
-	// handler (the dead codes and nr guards replicate exactly those
-	// bodies' reads; hGeneric runs the interpreter and cannot skip its
-	// stores) that write at least one register and no memory, and never
+	// Write suppression applies only to specialised slots (the dead codes
+	// and nr guards replicate exactly those bodies' reads; hGeneric runs
+	// the interpreter and cannot skip its stores) that write at least one
+	// register and no memory, and never
 	// to the stack ops (push writes memory anyway; pop's RSP/load chain
 	// isn't worth a suppressed shape). Memory-routed slots are excluded
 	// too, except the memory-source ADD/SUB/AND/OR/XOR and two-operand
@@ -535,7 +537,7 @@ func (c *Compiled) lowerSlot(i int) {
 	// interpreter fallback), and a uniform rule either way (md|ms == 0
 	// drops the six, md == 0 admits the rest) moves the
 	// TestOptimizeTracePinned digests.
-	if u.run == nil {
+	if u.kind == mkExec && u.run == nil {
 		u.run = hGeneric
 	} else {
 		ok := u.md == 0
@@ -612,8 +614,7 @@ func lowerExec(u *microOp, in *x64.Inst) {
 		if d.Kind == x64.KindReg {
 			u.dst = d.Reg
 			u.setWidth(d.Width)
-			u.run = hLea
-			u.kindW(mkLeaW)
+			u.kind = mkLeaW // lea has 32- and 64-bit destinations only
 		}
 
 	case x64.INC, x64.DEC:
@@ -800,18 +801,15 @@ func lowerMov(u *microOp, in *x64.Inst) {
 	case d.Kind == x64.KindReg && s.Kind == x64.KindReg:
 		u.dst, u.src, u.w = d.Reg, s.Reg, d.Width
 		u.mask = widthMask(s.Width)
-		u.run = hMovRR
 		u.kind = mkMovRR
 	case d.Kind == x64.KindReg && s.Kind == x64.KindImm:
 		u.dst, u.w = d.Reg, d.Width
 		u.imm = uint64(s.Imm) & widthMask(s.Width)
-		u.run = hMovRI
 		u.kind = mkMovRI
 	case d.Kind == x64.KindReg && s.Kind == x64.KindMem:
 		u.dst = d.Reg
 		if d.Width >= 4 {
 			u.w = s.Width
-			u.run = hMovLoadW
 			u.kind = mkMovLoadW
 		} else {
 			u.w = d.Width
@@ -820,7 +818,6 @@ func lowerMov(u *microOp, in *x64.Inst) {
 		}
 	case d.Kind == x64.KindMem && s.Kind == x64.KindReg && s.Width == d.Width:
 		u.src, u.w = s.Reg, s.Width
-		u.run = hMovStoreR
 		u.kind = mkMovStoreR
 	case d.Kind == x64.KindMem && s.Kind == x64.KindImm:
 		u.w = d.Width
@@ -836,7 +833,6 @@ func lowerALU(u *microOp, in *x64.Inst) {
 	}
 	if (in.Op == x64.XOR || in.Op == x64.SUB) && d.Kind == x64.KindReg &&
 		s.Kind == x64.KindReg && s.Reg == d.Reg && s.Width == d.Width {
-		u.run = hZero
 		u.kind = mkZero
 		return
 	}
@@ -983,11 +979,14 @@ func lowerShift(u *microOp, in *x64.Inst) {
 // The compiled pc advances strictly forward (skip chains, jump targets and
 // fall-throughs all point past the current slot), so Steps never exceeds
 // the slot count and the per-slot exhaustion check is provably dead
-// whenever the program fits the step budget; the common path runs without
-// it.
+// whenever the program fits the step budget; the loop runs without it. A
+// program longer than the budget (never a search candidate: ℓ is far
+// below the default budget) runs on the interpreter instead, whose
+// exhaustion check makes every slot a potential exit — where the liveness
+// pass's suppressed forms would be unsound.
 func (m *Machine) RunCompiled(c *Compiled) Outcome {
 	if len(c.ops) > m.MaxSteps {
-		return m.runCompiledBounded(c)
+		return m.Run(c.prog)
 	}
 	var out Outcome
 	var pc uint
@@ -1359,58 +1358,6 @@ func (m *Machine) RunCompiled(c *Compiled) Outcome {
 	return out
 }
 
-// runCompiledBounded is the exhaustion-checking variant for programs longer
-// than the step budget, mirroring the interpreter's check placement. A run
-// that can exhaust its budget can stop at any slot — every slot is a
-// potential exit where the full flag and register state becomes
-// observable — so the liveness pass's suppressed forms are unsound here.
-// This cold path therefore dispatches every executable slot through a
-// scratch copy of its micro-op with the nf and nr bits cleared: u.run is
-// always the full handler (selection only ever swaps dispatch codes and
-// sets nf/nr), so the copy restores exact all-live semantics
-// for the price of a 64-byte struct copy per step.
-func (m *Machine) runCompiledBounded(c *Compiled) Outcome {
-	var out Outcome
-	pc, n := 0, len(c.ops)
-	for pc < n {
-		if out.Steps >= m.MaxSteps {
-			out.Exhaust = true
-			break
-		}
-		u := &c.ops[pc]
-		switch u.kind {
-		case mkSkip:
-			pc++
-			continue
-		case mkRet:
-			pc = n
-			continue
-		case mkJmp:
-			out.Steps++
-			pc = int(u.target)
-			continue
-		case mkJcc:
-			out.Steps++
-			if x64.EvalCond(u.cc, m.readFlagsFor(u.cc)) {
-				pc = int(u.target)
-			} else {
-				pc++
-			}
-			continue
-		}
-		tmp := *u
-		tmp.nf = false
-		tmp.nr = false
-		tmp.run(m, &tmp)
-		out.Steps++
-		pc++
-	}
-	out.SigSegv = m.sigsegv
-	out.SigFpe = m.sigfpe
-	out.Undef = m.undef
-	return out
-}
-
 // --- handlers ------------------------------------------------------------
 //
 // Every handler replicates the interpreter's semantics exactly, including
@@ -1419,8 +1366,8 @@ func (m *Machine) runCompiledBounded(c *Compiled) Outcome {
 // pre-masked value directly (32-bit writes zero-extend), a 1- or 2-byte one
 // merges with the old value, counting an undef read of the destination as
 // writeGPR does. Register-destination bodies make that choice in writeALU;
-// the "W" load handler serves wide destinations only and its "N" twin the
-// narrow ones. Flag-writing handlers accumulate the update into one
+// the load handler serves the narrow destinations of mov r,mem (the
+// mkMovLoadW inline body the wide ones). Flag-writing handlers accumulate the update into one
 // x64.FlagSet and store it with a single masked write (putFlags), which the
 // interpreter's per-flag setFlag calls are the reference for.
 
@@ -1504,14 +1451,6 @@ func subBits(a, b, borrowIn, r uint64, u *microOp) x64.FlagSet {
 	return fl | flagIf((a^b)&(a^r)&u.sbit, x64.OF)
 }
 
-func hMovRR(m *Machine, u *microOp) { m.writeALU(u, m.readReg(u.src, u.mask)) }
-
-func hMovRI(m *Machine, u *microOp) { m.writeALU(u, u.imm) }
-
-func hMovLoadW(m *Machine, u *microOp) {
-	m.setReg(u.dst, m.load(m.effectiveAddr(u.in.Opd[0]), int(u.w)))
-}
-
 func hMovLoadN(m *Machine, u *microOp) {
 	v := m.load(m.effectiveAddr(u.in.Opd[0]), int(u.w2))
 	if u.nr {
@@ -1519,11 +1458,6 @@ func hMovLoadN(m *Machine, u *microOp) {
 		return
 	}
 	m.writeGPR(u.dst, u.w, v)
-}
-
-func hMovStoreR(m *Machine, u *microOp) {
-	v := m.readReg(u.src, widthMask(u.w))
-	m.store(m.effectiveAddr(u.in.Opd[1]), int(u.w), v)
 }
 
 func hMovStoreI(m *Machine, u *microOp) {
@@ -1737,15 +1671,6 @@ func hXorRI(m *Machine, u *microOp) {
 	m.writeALU(u, r)
 }
 
-// hZero is the xor r,r / sub r,r dependency-breaking zero idiom: defined
-// regardless of the register's contents, so no source read is counted.
-func hZero(m *Machine, u *microOp) {
-	if !u.nf {
-		m.putFlags(x64.AllFlags, x64.ZF|x64.PF)
-	}
-	m.writeALU(u, 0)
-}
-
 func hCmpRR(m *Machine, u *microOp) {
 	a := m.readDst(u)
 	b := m.readSrc(u)
@@ -1774,11 +1699,6 @@ func hTestRI(m *Machine, u *microOp) {
 	if !u.nf {
 		m.putFlags(x64.AllFlags, logicBits(a&u.imm, u))
 	}
-}
-
-func hLea(m *Machine, u *microOp) {
-	a := m.effectiveAddr(u.in.Opd[0])
-	m.writeALU(u, a&u.mask)
 }
 
 // incDecFlags is the PF|ZF|SF|OF-only update of inc/dec (CF untouched).

@@ -186,7 +186,6 @@ func lowerMovGX(u *microOp, in *x64.Inst, w uint8) {
 	switch {
 	case d.Kind == x64.KindXmm && s.Kind == x64.KindReg:
 		u.dst, u.src = d.Reg, s.Reg
-		u.run = hMovGXFromR
 		u.kind = mkMovdRX
 	case d.Kind == x64.KindXmm && s.Kind == x64.KindMem:
 		u.dst = d.Reg
@@ -198,11 +197,6 @@ func lowerMovGX(u *microOp, in *x64.Inst, w uint8) {
 		u.src = s.Reg
 		u.run = hMovGXToM
 	}
-}
-
-func hMovGXFromR(m *Machine, u *microOp) {
-	v := m.readReg(u.src, u.mask)
-	m.writeXmm(u.dst, [2]uint64{v, 0})
 }
 
 func hMovGXFromM(m *Machine, u *microOp) {
@@ -234,15 +228,12 @@ func lowerMovups(u *microOp, in *x64.Inst) {
 	switch {
 	case d.Kind == x64.KindXmm && s.Kind == x64.KindXmm:
 		u.dst, u.src = d.Reg, s.Reg
-		u.run = hMovXX
 		u.kind = mkMovXX
 	case d.Kind == x64.KindXmm && s.Kind == x64.KindMem:
 		u.dst = d.Reg
-		u.run = hMovupsLoad
 		u.kind = mkMovupsLoad
 	case d.Kind == x64.KindMem && s.Kind == x64.KindXmm:
 		u.src = s.Reg
-		u.run = hMovupsStore
 		u.kind = mkMovupsStore
 	}
 }
@@ -250,16 +241,6 @@ func lowerMovups(u *microOp, in *x64.Inst) {
 // readXmmOp reads a pre-decoded XMM source, counting undefined reads like
 // readXmm (named separately so the compiled handlers read as a unit).
 func (m *Machine) readXmmOp(r x64.Reg) [2]uint64 { return m.readXmm(r) }
-
-func hMovXX(m *Machine, u *microOp) { m.writeXmm(u.dst, m.readXmmOp(u.src)) }
-
-func hMovupsLoad(m *Machine, u *microOp) {
-	m.writeXmm(u.dst, m.readXmmOrMem(u.in.Opd[0]))
-}
-
-func hMovupsStore(m *Machine, u *microOp) {
-	m.writeXmmMem(u.in.Opd[1], m.readXmmOp(u.src))
-}
 
 // --- shuffles ------------------------------------------------------------
 
@@ -386,31 +367,27 @@ func lowerPackedALU(u *microOp, in *x64.Inst) {
 	switch s.Kind {
 	case x64.KindXmm:
 		if in.Op == x64.PXOR && s.Reg == d.Reg {
-			u.run = hPxorZero
 			u.kind = mkPXorZero
 			return
 		}
 		u.src = s.Reg
-		u.run = hPackedRR
 		u.kind = packedCode(in.Op)
 	case x64.KindMem:
 		u.run = hPackedMR
 	}
 }
 
-func hPxorZero(m *Machine, u *microOp) { m.writeXmm(u.dst, [2]uint64{0, 0}) }
-
 // packedRR is the register-form packed body. The inline dispatch cases
 // call it with the opcode as a compile-time constant, letting packedOp's
-// switch fold away; the handler passes the slot's opcode through.
+// switch fold away.
 func (m *Machine) packedRR(u *microOp, op x64.Opcode) {
 	a := m.readXmmOp(u.src)
 	b := m.readXmmOp(u.dst)
 	m.writeXmm(u.dst, packedOp(op, a, b))
 }
 
-func hPackedRR(m *Machine, u *microOp) { m.packedRR(u, u.in.Op) }
-
+// hPackedMR is the memory-source packed form, the one packed shape without
+// an inline body.
 func hPackedMR(m *Machine, u *microOp) {
 	a := m.readXmmOrMem(u.in.Opd[0])
 	b := m.readXmmOp(u.dst)

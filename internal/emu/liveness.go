@@ -82,11 +82,10 @@ import "repro/internal/x64"
 // CompileLive the final values and definedness of non-live registers may
 // therefore differ from a full run; every cost observable is preserved.
 //
-// The bounded run loop (runCompiledBounded) is excluded by construction:
-// it can exhaust the step budget at any slot, which makes every slot a
-// potential exit, so it dispatches each slot through a scratch copy with
-// the nf and nr bits cleared — u.run always remains the full handler —
-// never through the selected mkDead* codes.
+// A run that can exhaust the step budget can stop at any slot, which makes
+// every slot a potential exit; RunCompiled therefore hands programs longer
+// than the budget to the interpreter, so no suppressed form ever runs
+// under a budget it could exhaust.
 //
 // Patching. An MCMC move rewrites one slot, which can flip liveness for an
 // unbounded prefix of the program (the affected backward slice). Because
@@ -277,9 +276,7 @@ func (c *Compiled) patchLiveness(i int) {
 // (partially-live slots keep their base code and write the register:
 // never suppressing is always sound). The choice is a pure function of
 // the slot's summary and live-out set, which keeps patched and fresh
-// selection identical. Only kind, nf and nr are ever touched — u.run
-// stays the full handler, which is what lets the bounded loop recover
-// all-live semantics from a copy with both bits cleared.
+// selection identical. Only kind, nf and nr are ever touched.
 func (c *Compiled) applyLiveness(i int) {
 	u := &c.ops[i]
 	s := &c.live[i]

@@ -268,12 +268,13 @@ func TestLivenessShiftFamily(t *testing.T) {
 	runDifferential(t, "shlq 13, rax\nshrl 7, esi\nsarq 63, rdx\nxorq rcx, rcx", 300)
 }
 
-// TestRunCompiledBoundedMatchesInterpreter pins the exhaustion-checking
-// run loop — the path where the liveness pass's suppression is unsound
-// (any slot can become the exit) and slots are re-lowered to their full
-// handlers per step — against the interpreter at step budgets below,
-// at and above the program length, over random proposal-pool programs
-// and directed divide/SSE/control shapes.
+// TestRunCompiledBoundedMatchesInterpreter pins RunCompiled under step
+// budgets below, at and above the program length — below it, any slot can
+// become the exit, the liveness pass's suppression is unsound, and the run
+// is delegated to the interpreter — over random proposal-pool programs and
+// directed divide/SSE/control shapes. After each run a cached reload of the
+// same snapshot must restore exactly a fresh load's state: the delegated
+// run leaves the dirty tracking the cached reload restores from.
 func TestRunCompiledBoundedMatchesInterpreter(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	target := x64.MustParse(`
@@ -295,11 +296,17 @@ func TestRunCompiledBoundedMatchesInterpreter(t *testing.T) {
 			if maxSteps < 1 {
 				continue
 			}
-			mi, mc := emu.New(), emu.New()
-			mi.MaxSteps, mc.MaxSteps = maxSteps, maxSteps
+			mi, mc, fresh := emu.New(), emu.New(), emu.New()
+			mi.MaxSteps, mc.MaxSteps, fresh.MaxSteps = maxSteps, maxSteps, maxSteps
 			for i := 0; i < 4; i++ {
 				snap := randomSnapshot(rng)
 				runBoth(t, mi, mc, p, c, snap, what)
+				mc.LoadSnapshotCached(snap)
+				fresh.LoadSnapshot(snap)
+				diffStates(t, fresh, mc, snap, what+": cached reload")
+				if of, oc := fresh.RunCompiled(c), mc.RunCompiled(c); of != oc {
+					t.Errorf("%s: rerun after cached reload: fresh %+v cached %+v", what, of, oc)
+				}
 				if t.Failed() {
 					t.Fatalf("diverging program (MaxSteps=%d):\n%s", maxSteps, p)
 				}
