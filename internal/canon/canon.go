@@ -98,8 +98,7 @@ func PinnedGPRs(p *x64.Program) x64.RegSet {
 		}
 		info := x64.Info(in.Op)
 		pinned |= info.ImplReads | info.ImplWrites
-		if (info.CondFlags || in.Op == x64.SHLD || in.Op == x64.SHRD) &&
-			in.N > 0 && in.Opd[0].Kind == x64.KindReg && in.Opd[0].Width == 1 {
+		if x64.IsShift(in.Op) && in.N > 0 && in.Opd[0].Kind == x64.KindReg && in.Opd[0].Width == 1 {
 			pinned = pinned.With(x64.RCX) // CL shift count
 		}
 	}

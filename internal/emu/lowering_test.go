@@ -171,7 +171,7 @@ func memShapeInsts() []x64.Inst {
 						opds = append(opds, x64.Mem(base, int32(8*variant-4), w))
 					case x64.TokR8, x64.TokR16, x64.TokR32, x64.TokR64:
 						r := []x64.Reg{x64.RAX, x64.RDI, x64.R11}[variant]
-						if k == 0 && sig.N == 2 && isShiftOp(op) {
+						if k == 0 && sig.N == 2 && x64.IsShift(op) {
 							r = x64.RCX // shift counts live in CL
 						}
 						opds = append(opds, x64.R(r, w))
@@ -190,14 +190,6 @@ func memShapeInsts() []x64.Inst {
 		}
 	}
 	return out
-}
-
-func isShiftOp(op x64.Opcode) bool {
-	switch op {
-	case x64.SHL, x64.SHR, x64.SAR, x64.ROL, x64.ROR:
-		return true
-	}
-	return false
 }
 
 // TestCompiledMemoryOperandShapes sweeps every memory-operand signature of

@@ -822,7 +822,7 @@ func (s *Sampler) moveOperand(p *x64.Program) (rec moveRec, ok bool) {
 	switch o.Kind {
 	case x64.KindReg:
 		// Shift counts must stay in CL.
-		if isShift(in.Op) && slot == 0 && o.Width == 1 {
+		if x64.IsShift(in.Op) && slot == 0 && o.Width == 1 {
 			return rec, false
 		}
 		// x86 r/m operands form one equivalence class: a register slot
@@ -951,7 +951,7 @@ func (s *Sampler) RandomInst() (x64.Inst, bool) {
 			continue
 		}
 		// Shift counts in registers must be CL.
-		if isShift(op) && len(opds) == 2 && opds[0].Kind == x64.KindReg && opds[0].Width == 1 {
+		if x64.IsShift(op) && len(opds) == 2 && opds[0].Kind == x64.KindReg && opds[0].Width == 1 {
 			opds[0].Reg = x64.RCX
 		}
 		in := x64.MakeInst(op, opds...)
@@ -1010,14 +1010,6 @@ func (s *Sampler) randomOperand(tok x64.SigTok) (x64.Operand, bool) {
 		return s.randomMem(x64.TokWidth(tok))
 	}
 	return x64.Operand{}, false
-}
-
-func isShift(op x64.Opcode) bool {
-	switch op {
-	case x64.SHL, x64.SHR, x64.SAR, x64.ROL, x64.ROR:
-		return true
-	}
-	return false
 }
 
 // RandomProgram builds the random synthesis starting point of §4.4: ℓ slots

@@ -126,7 +126,7 @@ func (in *Inst) check() (f fault, slot, ctxWidth uint8) {
 		}
 	}
 	// Shift-by-register forms require the count in CL.
-	if isShiftFamily(in.Op) && in.N == 2 && in.Opd[0].Kind == KindReg && in.Opd[0].Width == 1 {
+	if IsShift(in.Op) && in.N == 2 && in.Opd[0].Kind == KindReg && in.Opd[0].Width == 1 {
 		if in.Opd[0].Reg != RCX {
 			return faultShiftCount, 0, ctxWidth
 		}
@@ -155,7 +155,10 @@ func (in *Inst) check() (f fault, slot, ctxWidth uint8) {
 	return fine, 0, ctxWidth
 }
 
-func isShiftFamily(op Opcode) bool {
+// IsShift reports whether op is one of the single shifts and rotates
+// (SHL, SHR, SAR, ROL, ROR): the opcodes with a one-operand implicit-1 form
+// and a CL count form. The double shifts SHLD/SHRD have neither.
+func IsShift(op Opcode) bool {
 	switch op {
 	case SHL, SHR, SAR, ROL, ROR:
 		return true

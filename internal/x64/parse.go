@@ -261,7 +261,7 @@ func finalize(op Opcode, cc Cond, _ bool, widths [2]uint8, operands []Operand) (
 	copy(opds, operands)
 
 	// AT&T one-operand shift forms ("sall (rdi)") shift by an implicit 1.
-	if isShiftFamily(op) && len(opds) == 1 {
+	if IsShift(op) && len(opds) == 1 {
 		opds = append([]Operand{Imm(1, 0)}, opds...)
 	}
 
