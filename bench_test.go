@@ -263,22 +263,36 @@ func BenchmarkEvalThroughput(b *testing.B) {
 		params := mcmc.PaperParams
 		params.Ell = 24
 		params.Beta = 0.1 // synthesis phase (stoke.DefaultSynthBeta)
-		s := &mcmc.Sampler{
-			Params: params,
-			Pools:  mcmc.PoolsFor(bench.Target, false),
-			Cost:   cost.NewLive(tests, bench.Spec.LiveOut, cost.Improved, 0),
-			Rng:    rand.New(rand.NewSource(9)),
-		}
-		start := s.RandomProgram()
+		// A β=0.1 chain converges and its later proposals get cheap, so
+		// one chain of b.N proposals would measure a different regime at
+		// each -benchtime. The row instead runs the same fixed-length
+		// segment (same seed, same random start, fresh cost function)
+		// back to back: every proposal it times is one of the segment's.
 		b.ResetTimer()
-		res := s.Run(context.Background(), start, int64(b.N))
-		b.StopTimer()
-		if res.Best == nil {
-			b.Fatal("chain returned no program")
+		for done := 0; done < b.N; done += synthSegment {
+			b.StopTimer()
+			s := &mcmc.Sampler{
+				Params: params,
+				Pools:  mcmc.PoolsFor(bench.Target, false),
+				Cost:   cost.NewLive(tests, bench.Spec.LiveOut, cost.Improved, 0),
+				Rng:    rand.New(rand.NewSource(9)),
+			}
+			start := s.RandomProgram()
+			b.StartTimer()
+			res := s.Run(context.Background(), start, int64(min(synthSegment, b.N-done)))
+			if res.Best == nil {
+				b.Fatal("chain returned no program")
+			}
 		}
+		b.StopTimer()
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "proposals/s")
 	})
 }
+
+// synthSegment is the length of the synthesis-regime chain segment the
+// synth/ell=24 row repeats; b.N that are not a multiple of it end on a
+// prefix of the same segment.
+const synthSegment = 100000
 
 // BenchmarkEvalThroughputSSE is the vector-kernel companion of
 // BenchmarkEvalThroughput: the saxpy kernel with SSE opcodes in the
