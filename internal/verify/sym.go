@@ -481,8 +481,9 @@ func (s *symState) exec(in *x64.Inst) {
 
 	case x64.DIV, x64.IDIV:
 		// Divide faults make div semantics input-dependent in ways the
-		// paper also punts on; div is not proposable and absent from the
-		// benchmark kernels.
+		// paper also punts on. Div is not proposable, but targets contain
+		// it (p20's -O0 target has divl) and operand moves carry it into
+		// rewrites, so those queries end Unsupported.
 		s.unsupported = "div/idiv"
 
 	case x64.SHL, x64.SHR, x64.SAR, x64.ROL, x64.ROR:

@@ -121,6 +121,16 @@
 // the emulator is surfaced as EventModelMismatch and counted, never
 // silently downgraded.
 //
+// Only an Equal final verdict is a proof. When the final verdict is
+// Unsupported (the validator does not model an instruction of the target
+// or rewrite, such as div) or Unknown (the proof ran out of budget, or a
+// cached verdict was inconclusive), Optimize still returns the re-ranked
+// rewrite in Report.Rewrite with that Verdict and its modelled Speedup: the
+// rewrite passed every testcase but is unvalidated, and may differ from
+// the target on inputs the testcases missed. Such a rewrite is never
+// written to the rewrite store, so it is never served. Callers that need
+// a proven rewrite must check that Report.Verdict is Equal.
+//
 // # Serving mode and the rewrite store
 //
 // Proven rewrites can be cached across runs, processes and machines:
