@@ -525,30 +525,14 @@ func (c *Compiled) lowerSlot(i int) {
 	// Write suppression applies only to specialised slots (the dead codes
 	// and nr guards replicate exactly those bodies' reads; hGeneric runs
 	// the interpreter and cannot skip its stores) that write at least one
-	// register and no memory, and never
-	// to the stack ops (push writes memory anyway; pop's RSP/load chain
-	// isn't worth a suppressed shape). Memory-routed slots are excluded
-	// too, except the memory-source ADD/SUB/AND/OR/XOR and two-operand
-	// IMUL. The set is not a soundness choice but a pinned one: a
-	// suppressed write changes the non-live register values the Improved
-	// metric's rival scan reads under cost.NewLive, and with them
-	// fixed-seed search trajectories. Those six shapes have always been
-	// suppressible, the other memory-routed ones never (they began on the
-	// interpreter fallback), and a uniform rule either way (md|ms == 0
-	// drops the six, md == 0 admits the rest) moves the
-	// TestOptimizeTracePinned digests.
+	// register and no memory. A memory destination (md) writes memory; a
+	// memory source (ms) is only another read, which the handler performs
+	// before writeALU skips the dead store. Pop is excluded too: its
+	// RSP/load chain isn't worth a suppressed shape.
 	if u.kind == mkExec && u.run == nil {
 		u.run = hGeneric
 	} else {
-		ok := u.md == 0
-		if u.ms != 0 {
-			switch in.Op {
-			case x64.ADD, x64.SUB, x64.AND, x64.OR, x64.XOR, x64.IMUL:
-			default:
-				ok = false
-			}
-		}
-		lv.eligible = ok && lv.writesRegs() && !memWrite && in.Op != x64.POP
+		lv.eligible = u.md == 0 && lv.writesRegs() && !memWrite && in.Op != x64.POP
 	}
 	if lv.writesRegs() {
 		c.wrCount++

@@ -122,39 +122,45 @@ func TestRegLivenessFlagsPinSuppression(t *testing.T) {
 	}
 }
 
-// TestMemoryRoutedSlotsKeepRegisterWrites: memory-source shapes lowered
-// through the ms route (which fell back to the interpreter before they got
-// handlers) keep their dead register writes, while the register form of
-// the same opcode has them suppressed. Suppressing them would change the
-// non-live register values the Improved metric's rival scan reads under
-// cost.NewLive, and with them fixed-seed search trajectories.
-func TestMemoryRoutedSlotsKeepRegisterWrites(t *testing.T) {
+// TestMemoryRoutedSlotsSuppressDeadRegisterWrites: a memory source is one
+// more read, so the memory-source forms routed through ms (popcnt, movsx,
+// imul3, adc, mul) have their dead register writes suppressed exactly like
+// their register forms, as does the memory-source packed form. A
+// memory-destination slot writes memory and stays unsuppressed. The
+// suppressed forms must still agree with the interpreter, their loads'
+// fault and undef accounting included.
+func TestMemoryRoutedSlotsSuppressDeadRegisterWrites(t *testing.T) {
 	mov := func(dst x64.Reg) x64.Inst { return x64.MakeInst(x64.MOV, x64.R(x64.RDI, 8), x64.R(dst, 8)) }
 	kills := []x64.Inst{
 		x64.MakeInst(x64.XOR, x64.R(x64.RCX, 8), x64.R(x64.RCX, 8)), // flags
 		mov(x64.RBX), mov(x64.RAX), mov(x64.RDX),
+		x64.MakeInst(x64.PXOR, x64.X(1), x64.X(1)),
 	}
 	mem := x64.Mem(x64.RDI, 0, 8)
-	for _, pair := range [][2]x64.Inst{
-		{x64.MakeInst(x64.POPCNT, x64.R(x64.RSI, 8), x64.R(x64.RBX, 8)),
-			x64.MakeInst(x64.POPCNT, mem, x64.R(x64.RBX, 8))},
-		{x64.MakeInst(x64.MOVSX, x64.R(x64.RSI, 4), x64.R(x64.RBX, 8)),
-			x64.MakeInst(x64.MOVSX, x64.Mem(x64.RDI, 0, 4), x64.R(x64.RBX, 8))},
-		{x64.MakeInst(x64.IMUL3, x64.Imm(7, 8), x64.R(x64.RSI, 8), x64.R(x64.RBX, 8)),
-			x64.MakeInst(x64.IMUL3, x64.Imm(7, 8), mem, x64.R(x64.RBX, 8))},
-		{x64.MakeInst(x64.ADC, x64.R(x64.RSI, 8), x64.R(x64.RBX, 8)),
-			x64.MakeInst(x64.ADC, mem, x64.R(x64.RBX, 8))},
-		{x64.MakeInst(x64.MUL, x64.R(x64.RSI, 8)), x64.MakeInst(x64.MUL, mem)},
+	for _, tc := range []struct {
+		in   x64.Inst
+		want int
+	}{
+		{x64.MakeInst(x64.POPCNT, x64.R(x64.RSI, 8), x64.R(x64.RBX, 8)), 1},
+		{x64.MakeInst(x64.POPCNT, mem, x64.R(x64.RBX, 8)), 1},
+		{x64.MakeInst(x64.MOVSX, x64.R(x64.RSI, 4), x64.R(x64.RBX, 8)), 1},
+		{x64.MakeInst(x64.MOVSX, x64.Mem(x64.RDI, 0, 4), x64.R(x64.RBX, 8)), 1},
+		{x64.MakeInst(x64.IMUL3, x64.Imm(7, 8), x64.R(x64.RSI, 8), x64.R(x64.RBX, 8)), 1},
+		{x64.MakeInst(x64.IMUL3, x64.Imm(7, 8), mem, x64.R(x64.RBX, 8)), 1},
+		{x64.MakeInst(x64.ADC, x64.R(x64.RSI, 8), x64.R(x64.RBX, 8)), 1},
+		{x64.MakeInst(x64.ADC, mem, x64.R(x64.RBX, 8)), 1},
+		{x64.MakeInst(x64.MUL, x64.R(x64.RSI, 8)), 1},
+		{x64.MakeInst(x64.MUL, mem), 1},
+		{x64.MakeInst(x64.PADDD, x64.Mem(x64.RDI, 0, 16), x64.X(1)), 1},
+		{x64.MakeInst(x64.ADD, x64.R(x64.RSI, 8), mem), 0},
 	} {
-		for form, want := range []int{1, 0} {
-			p := &x64.Program{Insts: append([]x64.Inst{pair[form]}, kills...)}
-			c := runDifferentialProg(t, p, 200)
-			if got := c.RegFreeSlots(); got != want {
-				t.Errorf("%v: %d suppressed slots, want %d", pair[form], got, want)
-			}
-			if sf, _ := c.RegCountsByScan(); sf != c.RegFreeSlots() {
-				t.Fatalf("%v: counter drift", pair[form])
-			}
+		p := &x64.Program{Insts: append([]x64.Inst{tc.in}, kills...)}
+		c := runDifferentialProg(t, p, 200)
+		if got := c.RegFreeSlots(); got != tc.want {
+			t.Errorf("%v: %d suppressed slots, want %d", tc.in, got, tc.want)
+		}
+		if sf, _ := c.RegCountsByScan(); sf != c.RegFreeSlots() {
+			t.Fatalf("%v: counter drift", tc.in)
 		}
 	}
 }

@@ -134,10 +134,10 @@ func TestOptimizeTracePinned(t *testing.T) {
 		{"near miss c99", traceConstKernel("c99", 99), near},
 	}
 	want := []string{
-		"77f104942df68e3710b49636ba9f655630c081bc9498863ac86b55a4a73aa92d",
-		"d3a85d7891768c7fdd032e93bd8c09cb6f25cddc630629c10b05d04c6314ba17",
-		"ca2e8602f126da2912e23db0fb8054af7364c69d959f9bdab23f7b9cd6a544e6",
-		"084eeb3cf7d29705f4b0030ada9afbc3739bc28d6ee99991c91bc48f32dcd831",
+		"ac2957ceb33561b5db9fbb358ec00d37099fc9464baacab68180c0e002ea9748",
+		"25611ee45705deb548231d9c42f5ab56f215f6382f7c8fca0e04ab6c0b0ff516",
+		"953eac8e0b84df130b7c1f684a1e05522069721331ffdf64f7c490855bfc84cc",
+		"6f7ee2c1361f9f24b176d831d017e70a995b8d4b191f0a74ff318ded209a05f6",
 		"1835200bbe2c4b96d3cb7bde93812e37419f8772a9f281fb474c29eb3c5a0d45",
 		"596aaa154967d0cbaf36d03f4dad26ff6107a702629c63253d2e1534bdde8b7d",
 	}
