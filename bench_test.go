@@ -268,6 +268,7 @@ func BenchmarkEvalThroughput(b *testing.B) {
 		// each -benchtime. The row instead runs the same fixed-length
 		// segment (same seed, same random start, fresh cost function)
 		// back to back: every proposal it times is one of the segment's.
+		var evaluated int64
 		b.ResetTimer()
 		for done := 0; done < b.N; done += synthSegment {
 			b.StopTimer()
@@ -283,9 +284,11 @@ func BenchmarkEvalThroughput(b *testing.B) {
 			if res.Best == nil {
 				b.Fatal("chain returned no program")
 			}
+			evaluated += res.Stats.TestsEvaluated
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "proposals/s")
+		b.ReportMetric(float64(evaluated)/float64(b.N), "tests/proposal")
 	})
 }
 
