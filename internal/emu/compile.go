@@ -1350,10 +1350,10 @@ func (m *Machine) RunCompiled(c *Compiled) Outcome {
 // pre-masked value directly (32-bit writes zero-extend), a 1- or 2-byte one
 // merges with the old value, counting an undef read of the destination as
 // writeGPR does. Register-destination bodies make that choice in writeALU;
-// the load handler serves the narrow destinations of mov r,mem (the
-// mkMovLoadW inline body the wide ones). Flag-writing handlers accumulate the update into one
-// x64.FlagSet and store it with a single masked write (putFlags), which the
-// interpreter's per-flag setFlag calls are the reference for.
+// hMovLoadN serves the narrow destinations of mov r,mem (the mkMovLoadW
+// inline body the wide ones). Flag-writing handlers accumulate the update
+// into one x64.FlagSet and store it with a single masked write (putFlags),
+// which the interpreter's per-flag setFlag calls are the reference for.
 
 func hGeneric(m *Machine, u *microOp) {
 	m.generic++
