@@ -266,8 +266,9 @@ func BenchmarkEvalThroughput(b *testing.B) {
 		// A β=0.1 chain converges and its later proposals get cheap, so
 		// one chain of b.N proposals would measure a different regime at
 		// each -benchtime. The row instead runs the same fixed-length
-		// segment (same seed, same random start, fresh cost function)
-		// back to back: every proposal it times is one of the segment's.
+		// segment back to back: same seed, same random start, and a fresh
+		// cost function (its adaptive testcase order would carry over), so
+		// every proposal it times is one of the segment's.
 		var evaluated int64
 		b.ResetTimer()
 		for done := 0; done < b.N; done += synthSegment {
